@@ -10,6 +10,7 @@
 
 #include "engine/bounded_queue.h"
 #include "netbase/pool.h"
+#include "xmap/replica.h"
 
 namespace xmap::engine {
 namespace {
@@ -72,6 +73,8 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
   if (base.targets.empty()) base.targets = default_targets(config);
   base.shutdown_flag = config.shutdown_flag;
   base.shutdown_at_raw_slot = config.shutdown_at_raw_slot;
+  // Every worker reads the blocklist; build its index before they start.
+  if (base.blocklist != nullptr) base.blocklist->compile();
   if (base.max_probes != 0) {
     // Global target budget as a slot cut, computed once on the machine
     // shard's walk and shared by every worker: each worker stops at the
@@ -134,30 +137,6 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
     obs::StageProfile* profile =
         config.obs.profile ? &profiles[static_cast<std::size_t>(w)] : nullptr;
 
-    // Thread-confined deterministic replica: every worker builds the same
-    // world from the same specs and seed, then walks its own sub-shard of
-    // the permutation. No state is shared with other workers except the
-    // result queue and the progress atomics.
-    sim::Network net{config.build.seed};
-    net.set_obs(trace, metrics);
-    auto internet = [&] {
-      obs::ScopedStageTimer build_timer{profile, obs::Stage::kBuild};
-      return topo::build_internet(net, config.world_specs, config.vendors,
-                                  config.build);
-    }();
-    if (config.faults.any()) {
-      sim::FaultInjector* injector = net.install_faults(config.faults);
-      // Every periphery device is a silent-window candidate; the injector
-      // picks the configured fraction with a keyed per-node coin, so the
-      // selection is identical in every replica.
-      std::vector<sim::NodeId> candidates;
-      for (const auto& isp : internet.isps) {
-        for (const auto& device : isp.devices) {
-          candidates.push_back(device.node);
-        }
-      }
-      injector->choose_silent(candidates);
-    }
     scan::ScanConfig wcfg = base;
     wcfg.shard = config.scan.shard * threads + w;
     wcfg.shards = config.scan.shards * threads;
@@ -166,13 +145,17 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
       wcfg.resume_spec_steps = config.resume->cursors[w].spec_steps;
     }
 
-    auto* scanner =
-        net.make_node<scan::SimChannelScanner>(wcfg, *config.module);
-    const int iface =
-        topo::attach_vantage(net, internet, scanner, config.vantage);
-    scanner->set_iface(iface);
+    // Thread-confined deterministic replica: every worker builds the same
+    // world from the same specs and seed, then walks its own sub-shard of
+    // the permutation. No state is shared with other workers except the
+    // result queue and the progress atomics.
+    scan::ScanReplica replica{{config.world_specs, config.vendors,
+                               config.build, config.faults, config.vantage},
+                              wcfg, *config.module, config.obs, trace,
+                              metrics, profile};
+    sim::Network& net = replica.net;
+    scan::SimChannelScanner* scanner = replica.scanner;
     scanner->set_progress(&progress);
-    scanner->set_obs(config.obs, trace, metrics, profile);
     // Records accumulate thread-locally and cross to the collector in
     // batches: one queue lock round-trip per flush instead of per record.
     // Flush points are load-bearing, not just periodic: a published cursor

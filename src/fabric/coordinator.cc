@@ -133,6 +133,8 @@ FabricResult run_fabric_scan(const FabricConfig& config) {
   // shutdown plumbing does not cross the wire.
   base.shutdown_flag = nullptr;
   base.shutdown_at_raw_slot = scan::kNoBudgetCut;
+  // Every worker reads the blocklist; build its index before they start.
+  if (base.blocklist != nullptr) base.blocklist->compile();
   if (base.max_probes != 0) {
     // One budget cut, computed here and shipped in every lease: all
     // workers truncate at the same permutation slot regardless of node

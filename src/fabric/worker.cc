@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "netbase/random.h"
+#include "xmap/replica.h"
 
 namespace xmap::fabric {
 namespace {
@@ -302,30 +303,14 @@ void FabricWorker::run_shard(const Message& assign) {
   obs::StageProfile* profile =
       config_.obs.profile ? &shard_profile : nullptr;
 
-  // Thread-confined deterministic replica, the parallel engine's recipe.
-  sim::Network net{config_.build.seed};
-  net.set_obs(trace, metrics);
-  auto internet = [&] {
-    obs::ScopedStageTimer build_timer{profile, obs::Stage::kBuild};
-    return topo::build_internet(net, *config_.world_specs, *config_.vendors,
-                                config_.build);
-  }();
-  if (config_.faults.any()) {
-    sim::FaultInjector* injector = net.install_faults(config_.faults);
-    std::vector<sim::NodeId> candidates;
-    for (const auto& isp : internet.isps) {
-      for (const auto& device : isp.devices) {
-        candidates.push_back(device.node);
-      }
-    }
-    injector->choose_silent(candidates);
-  }
-  auto* scanner =
-      net.make_node<scan::SimChannelScanner>(wcfg, *config_.module);
-  const int iface =
-      topo::attach_vantage(net, internet, scanner, config_.vantage);
-  scanner->set_iface(iface);
-  scanner->set_obs(config_.obs, trace, metrics, profile);
+  // Thread-confined deterministic replica, the same one the parallel
+  // engine's workers build.
+  scan::ScanReplica replica{{*config_.world_specs, *config_.vendors,
+                             config_.build, config_.faults, config_.vantage},
+                            wcfg, *config_.module, config_.obs, trace,
+                            metrics, profile};
+  sim::Network& net = replica.net;
+  scan::SimChannelScanner* scanner = replica.scanner;
 
   std::vector<WireRecord> buffer;
   // Set when the coordinator is unreachable mid-scan: the replica runs to

@@ -39,6 +39,13 @@ class Blocklist {
   // that is more specific than an allowed one wins, and vice versa.
   [[nodiscard]] bool permitted(const net::Ipv6Address& addr) const;
 
+  // Builds the lookup indexes now. Call before sharing the list with
+  // concurrent scanners: the lazy first-lookup build mutates shared state.
+  void compile() const {
+    blocked_.compile();
+    allowed_.compile();
+  }
+
   [[nodiscard]] std::size_t blocked_count() const { return blocked_.size(); }
   [[nodiscard]] std::size_t allowed_count() const { return allowed_.size(); }
 

@@ -98,7 +98,8 @@ Fault injection (deterministic, keyed off --fault-seed):
 
 Parallel engine:
   --threads <n>             scan with n worker threads, each walking a
-                            disjoint sub-shard of the permutation (1..64)
+                            disjoint sub-shard of the permutation (1..64,
+                            default 1)
   --status-updates-file <path|->
                             live monitor: periodic status lines plus a
                             final JSON metrics summary ('-' = stderr)

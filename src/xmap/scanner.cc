@@ -153,6 +153,7 @@ void SimChannelScanner::start() {
   if (started_) return;
   started_ = true;
 
+  origin_ = network()->now();
   copies_ = 1 + (config_.retries > 0 ? config_.retries : 0);
   gap_ns_ = gap_for(config_.probes_per_sec);
   // Retry spacing in whole target periods (one period = (1+retries) slots),
@@ -223,11 +224,9 @@ void SimChannelScanner::start() {
   next_fresh_at_ = network()->now();
 
   // One frame build per scan; send_copy re-aims it per target.
-  if (!config_.legacy_hot_path) {
-    template_ = module_.make_template(config_.source, config_.seed);
-  }
+  template_ = module_.make_template(config_.source, config_.seed);
 
-  stats_.first_send = network()->now();
+  stats_.first_send = origin_;
   network()->loop().schedule_after(0, [this] { schedule_fresh(); });
 }
 
@@ -283,11 +282,6 @@ bool SimChannelScanner::draw_fresh(net::Ipv6Address& out,
   // time — a pure function of (seed, targets, rate, retries) — rather than
   // the load-dependent moment this function happens to run, so the trace
   // stays partition-invariant.
-  const auto slot_time = [this](std::uint64_t raw) {
-    return static_cast<sim::SimTime>(
-        raw * static_cast<std::uint64_t>(copies_) * gap_ns_);
-  };
-
   bool have = false;
   // Skip blocklisted targets; their slots stay empty (the schedule is a
   // pure function of the permutation, not of the blocklist).
@@ -378,7 +372,7 @@ void SimChannelScanner::schedule_fresh() {
   // connect/install_faults/set_obs call — so the network's bulk verdict is
   // final by now.
   if (use_blocks_ < 0) {
-    use_blocks_ = (!config_.adaptive_rate && !config_.legacy_hot_path &&
+    use_blocks_ = (!config_.adaptive_rate &&
                    (trace_ == nullptr ||
                     !trace_->at(obs::TraceLevel::kScan)) &&
                    network()->bulk_mode())
@@ -430,24 +424,17 @@ void SimChannelScanner::schedule_fresh() {
     return;
   }
 
-  const std::uint64_t batch = config_.legacy_hot_path ? 1 : kFreshBatch;
-  for (std::uint64_t b = 0; b < batch; ++b) {
+  for (std::uint64_t b = 0; b < kFreshBatch; ++b) {
     if (!draw_fresh(target, raw_slot)) {
       fresh_done_ = true;
       maybe_finish_sending();
       return;
     }
-    const bool last = b == batch - 1;
-    const std::uint64_t period =
-        raw_slot * static_cast<std::uint64_t>(copies_);
+    const bool last = b == kFreshBatch - 1;
     for (int c = 0; c < copies_; ++c) {
       ++pending_sends_;
-      const std::uint64_t slot =
-          period + static_cast<std::uint64_t>(c) *
-                       (spacing_periods_ *
-                            static_cast<std::uint64_t>(copies_) +
-                        1);
-      const sim::SimTime tc = slot * gap_ns_;
+      const sim::SimTime tc =
+          copy_time(raw_slot, static_cast<std::uint32_t>(c));
       const bool rearm = last && c == 0;
       network()->loop().schedule_at(tc, [this, target, c, rearm] {
         send_copy(target, c);
@@ -552,7 +539,8 @@ ScanCursor SimChannelScanner::stable_cursor() const {
   //   (q*copies + (copies-1)*(spacing_periods*copies+1)) * gap.
   // Find the largest q whose last copy is at least a response horizon in
   // the past; everything at or below it has completed its lifecycle.
-  const sim::SimTime now = network()->now();
+  // Slot times count from origin_.
+  const sim::SimTime now = network()->now() - origin_;
   const std::uint64_t tail_slots =
       static_cast<std::uint64_t>(copies_ - 1) *
       (spacing_periods_ * static_cast<std::uint64_t>(copies_) + 1);
@@ -570,15 +558,10 @@ ScanCursor SimChannelScanner::stable_cursor() const {
 void SimChannelScanner::send_copy(const net::Ipv6Address& target, int copy) {
   obs::ScopedStageTimer timer{profile_, obs::Stage::kSend};
   --pending_sends_;
-  pkt::Bytes probe;
-  if (config_.legacy_hot_path) {
-    probe = module_.make_probe(config_.source, target, config_.seed);
-  } else {
-    // Re-aim the cached frame: patch dst + keyed fields, incremental
-    // checksum. The copy below recycles a pool block.
-    module_.patch_probe(template_, config_.source, target, config_.seed);
-    probe = template_.frame();
-  }
+  // Re-aim the cached frame: patch dst + keyed fields, incremental
+  // checksum. The copy below recycles a pool block.
+  module_.patch_probe(template_, config_.source, target, config_.seed);
+  pkt::Bytes probe = template_.frame();
   if (trace_ != nullptr) {
     if (trace_->at(obs::TraceLevel::kPacket)) {
       obs::TraceEvent e;
@@ -761,8 +744,7 @@ void SimChannelScanner::receive(pkt::Bytes packet, int /*iface*/) {
       if (raw_slot != kNoBudgetCut) {
         // Copy 0 owns packet slot raw_slot * copies; its send fired at
         // exactly that slot's boundary (see schedule_fresh).
-        sent = static_cast<sim::SimTime>(
-            raw_slot * static_cast<std::uint64_t>(copies_) * gap_ns_);
+        sent = slot_time(raw_slot);
         have_sent = true;
       }
     } else {

@@ -86,11 +86,6 @@ struct ScanConfig {
   // Send times become load-dependent, so this intentionally trades the
   // cross-thread-count byte-identical guarantee for resilience.
   bool adaptive_rate = false;
-  // Escape hatch (and benchmark baseline): rebuild every probe from
-  // scratch with make_probe() and draw fresh targets one at a time,
-  // instead of the template-patching, block-batched hot path. Output is
-  // byte-identical either way.
-  bool legacy_hot_path = false;
 };
 
 // A worker's resumable permutation position. spec_steps[i] is the number
@@ -243,7 +238,14 @@ class SimChannelScanner : public sim::Node {
         raw_slot * static_cast<std::uint64_t>(copies_) +
         static_cast<std::uint64_t>(copy) *
             (spacing_periods_ * static_cast<std::uint64_t>(copies_) + 1);
-    return static_cast<sim::SimTime>(slot) * gap_ns_;
+    return origin_ + static_cast<sim::SimTime>(slot) * gap_ns_;
+  }
+  // Send time of copy 0 of the target at `raw_slot` (also the stamp of its
+  // scan-level lifecycle trace events).
+  [[nodiscard]] sim::SimTime slot_time(std::uint64_t raw_slot) const {
+    return origin_ + static_cast<sim::SimTime>(
+                         raw_slot * static_cast<std::uint64_t>(copies_) *
+                         gap_ns_);
   }
   void adapt_rate();
   [[nodiscard]] std::uint64_t frontier_slot() const;
@@ -255,7 +257,7 @@ class SimChannelScanner : public sim::Node {
   int iface_ = 0;
 
   // Cached probe frame, re-aimed per target by ProbeModule::patch_probe
-  // (built in start() unless legacy_hot_path).
+  // (built in start()).
   ProbeTemplate template_;
 
   // Permutation state: one group+iterator per target spec. `raw_base` is
@@ -276,6 +278,11 @@ class SimChannelScanner : public sim::Node {
   // at q*(1+retries) + c*(spacing_periods*(1+retries) + 1) — collision-free
   // (slot mod (1+retries) identifies the copy) so the aggregate rate never
   // exceeds probes_per_sec.
+  // Slot times count from `origin_`, the network's clock at start(): a
+  // scan started on a network that already ran (a second scan, a
+  // follow-up pass) sends forward from its own start, never into the
+  // past.
+  sim::SimTime origin_ = 0;
   sim::SimTime gap_ns_ = 0;
   int copies_ = 1;
   std::uint64_t spacing_periods_ = 1;

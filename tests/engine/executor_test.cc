@@ -48,8 +48,8 @@ std::set<std::string> hop_set(const scan::ResultCollector& collector) {
   return out;
 }
 
-// The unsharded single-thread reference: the classic SimChannelScanner
-// driven directly, exactly as the pre-engine tool path does.
+// The unsharded single-thread reference: one SimChannelScanner driven
+// directly, with no executor in between.
 struct Baseline {
   std::set<std::string> hops;
   std::set<std::string> aliased;
@@ -161,6 +161,24 @@ TEST(ParallelExecutor, DeterministicAcrossRunsAndThreadCounts) {
     EXPECT_EQ(first.stats, second.stats);
     EXPECT_EQ(hop_set(first.collector), baseline.hops);
   }
+}
+
+TEST(ParallelExecutor, SharedBlocklistIsSafeAcrossWorkers) {
+  // Every worker reads the same blocklist. Its lookup index must be built
+  // before the workers start: a lazy build on a worker's first lookup
+  // races the others (the TSan job runs this test).
+  const auto run = [](int threads) {
+    const scan::Blocklist blocklist =
+        scan::Blocklist::well_behaved_defaults();
+    auto cfg = make_config(threads);
+    cfg.scan.blocklist = &blocklist;
+    return run_parallel_scan(cfg);
+  };
+  const auto four = run(4);
+  const auto one = run(1);
+  ASSERT_TRUE(one.ok && four.ok);
+  EXPECT_EQ(hop_set(one.collector), hop_set(four.collector));
+  EXPECT_EQ(one.stats.sent, four.stats.sent);
 }
 
 TEST(ParallelExecutor, MaxProbesIsAGlobalCap) {

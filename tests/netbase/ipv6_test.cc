@@ -69,6 +69,10 @@ struct BadInput {
   const char* why;
 };
 
+// Names each case by its reason, so the test name is the same on every build
+// (the default printer shows the raw pointer bytes).
+void PrintTo(const BadInput& b, std::ostream* os) { *os << b.why; }
+
 class Ipv6ParseRejects : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(Ipv6ParseRejects, Rejects) {

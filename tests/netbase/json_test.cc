@@ -66,7 +66,12 @@ TEST(Json, TypedGetters) {
 
 struct BadJson {
   const char* text;
+  const char* why;
 };
+
+// Names each case by its reason, so the test name is the same on every build
+// (the default printer shows the raw pointer bytes).
+void PrintTo(const BadJson& b, std::ostream* os) { *os << b.why; }
 
 class JsonRejects : public ::testing::TestWithParam<BadJson> {};
 
@@ -78,14 +83,21 @@ TEST_P(JsonRejects, Rejects) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, JsonRejects,
-    ::testing::Values(BadJson{""}, BadJson{"{"}, BadJson{"["},
-                      BadJson{"{\"a\": }"}, BadJson{"{\"a\" 1}"},
-                      BadJson{"{a: 1}"}, BadJson{"[1, 2,]"},
-                      BadJson{"[1 2]"}, BadJson{"\"unterminated"},
-                      BadJson{"\"bad\\q\""}, BadJson{"\"\\u12g4\""},
-                      BadJson{"tru"}, BadJson{"nul"}, BadJson{"-"},
-                      BadJson{"1.2.3"}, BadJson{"{} extra"},
-                      BadJson{"\"ctrl\x01char\""}));
+    ::testing::Values(
+        BadJson{"", "empty"}, BadJson{"{", "unclosed object"},
+        BadJson{"[", "unclosed array"},
+        BadJson{"{\"a\": }", "missing value"},
+        BadJson{"{\"a\" 1}", "missing colon"},
+        BadJson{"{a: 1}", "unquoted key"},
+        BadJson{"[1, 2,]", "trailing comma"},
+        BadJson{"[1 2]", "missing comma"},
+        BadJson{"\"unterminated", "unterminated string"},
+        BadJson{"\"bad\\q\"", "unknown escape"},
+        BadJson{"\"\\u12g4\"", "bad unicode escape"},
+        BadJson{"tru", "truncated true"}, BadJson{"nul", "truncated null"},
+        BadJson{"-", "lone minus"}, BadJson{"1.2.3", "two decimal points"},
+        BadJson{"{} extra", "trailing garbage"},
+        BadJson{"\"ctrl\x01char\"", "raw control character"}));
 
 TEST(Json, ErrorPositionsAreUseful) {
   auto result = json_parse("{\n  \"a\": oops\n}");

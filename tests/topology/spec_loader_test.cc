@@ -83,6 +83,10 @@ struct BadDoc {
   const char* expect_fragment;  // must appear in the error
 };
 
+// Names each case by its expected error fragment, so the test name is the
+// same on every build (the default printer shows the raw pointer bytes).
+void PrintTo(const BadDoc& b, std::ostream* os) { *os << b.expect_fragment; }
+
 class SpecLoaderRejects : public ::testing::TestWithParam<BadDoc> {};
 
 TEST_P(SpecLoaderRejects, Rejects) {

@@ -508,6 +508,61 @@ TEST(ScannerIntegration, BulkDeliveryMatchesPerPacketPath) {
   EXPECT_EQ(run(/*bulk=*/true, /*hook=*/true), strict);
 }
 
+TEST(ScannerIntegration, SecondScanOnOneNetworkSendsFromItsStart) {
+  // A scanner started on a network whose clock already ran (a follow-up
+  // pass, a second pipeline) must count its send slots from its own start:
+  // nothing scheduled into the past, a forward send window, responses no
+  // earlier than the start — and the same records the first scan found.
+  ScanWorld world{8};
+  IcmpEchoProbe probe{64};
+  struct Run {
+    sim::SimTime start = 0;
+    sim::SimTime first_when = ~sim::SimTime{0};
+    std::uint64_t clamped = 0;
+    ScanStats stats;
+    std::vector<std::string> records;
+  };
+  const auto run = [&world, &probe](Run& r) {
+    ScanConfig cfg;
+    for (int i : {0, 5}) {
+      const auto& isp = world.internet.isps[static_cast<std::size_t>(i)];
+      cfg.targets.push_back(
+          TargetSpec{isp.scan_base, isp.window_lo, isp.window_hi});
+    }
+    cfg.source = kScannerAddr;
+    cfg.seed = 7;
+    cfg.probes_per_sec = 1e6;
+    auto* scanner = world.net.make_node<SimChannelScanner>(cfg, probe);
+    scanner->set_iface(topo::attach_vantage(world.net, world.internet,
+                                            scanner, kVantagePrefix));
+    scanner->on_response([&r](const ProbeResponse& resp, sim::SimTime when) {
+      r.first_when = std::min(r.first_when, when);
+      r.records.push_back(resp.responder.to_string() + "|" +
+                          resp.probe_dst.to_string() + "|" +
+                          std::to_string(static_cast<int>(resp.kind)));
+    });
+    r.start = world.net.now();
+    const std::uint64_t clamped_before = world.net.loop().clamped();
+    scanner->start();
+    world.net.run();
+    r.clamped = world.net.loop().clamped() - clamped_before;
+    r.stats = scanner->stats();
+    std::sort(r.records.begin(), r.records.end());
+  };
+  Run first;
+  Run second;
+  run(first);
+  run(second);
+  ASSERT_GT(first.records.size(), 40u);
+  EXPECT_EQ(first.clamped, 0u);
+  ASSERT_GT(second.start, 0u);
+  EXPECT_EQ(second.clamped, 0u);
+  EXPECT_EQ(second.stats.first_send, second.start);
+  EXPECT_LE(second.stats.first_send, second.stats.last_send);
+  EXPECT_GE(second.first_when, second.start);
+  EXPECT_EQ(second.records, first.records);
+}
+
 TEST(ScannerIntegration, AdaptiveRateBacksOffWhenHitRateCollapses) {
   // Every CPE goes silent one second into the scan: the windowed hit rate
   // collapses to zero and the AIMD controller must halve the rate at least
