@@ -179,7 +179,7 @@ double event_schedule_pop_ns() {
   for (int rep = 0; rep < 5; ++rep) {
     sim::EventLoop loop;
     Ctx ctx;
-    loop.register_handler(sim::kEventDeliver, &ctx, &Ctx::handle);
+    loop.register_handler(sim::kEventFirstFree, &ctx, &Ctx::handle);
     const auto t0 = Clock::now();
     for (int round = 0; round < kRounds; ++round) {
       const sim::SimTime base = loop.now();
@@ -189,7 +189,7 @@ double event_schedule_pop_ns() {
         const sim::SimTime off =
             (i % 16 == 0) ? 8u * 1024 * 1024
                           : static_cast<sim::SimTime>((i % 1024) * 512);
-        loop.schedule_event(base + 1 + off, sim::kEventDeliver,
+        loop.schedule_event(base + 1 + off, sim::kEventFirstFree,
                             static_cast<std::uint64_t>(i), 0);
       }
       loop.run();

@@ -35,13 +35,17 @@ class ProbeBatch : public sim::Node {
         config_.probes_per_sec > 0 ? config_.probes_per_sec : 1e9;
     const auto gap =
         static_cast<sim::SimTime>(static_cast<double>(sim::kSecond) / rate);
+    const sim::SimTime now = network()->now();
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
-      network()->loop().schedule_after(gap * i, [this, i] {
-        scan::IcmpEchoProbe module{jobs_[i].hop_limit};
-        send(iface_,
-             module.make_probe(config_.source, jobs_[i].target, config_.seed));
-      });
+      schedule_timer(now + gap * i, i);
     }
+  }
+
+  // Timer tag = job index.
+  void on_timer(std::uint64_t tag) override {
+    const Job& job = jobs_[tag];
+    scan::IcmpEchoProbe module{job.hop_limit};
+    send(iface_, module.make_probe(config_.source, job.target, config_.seed));
   }
 
   void receive(pkt::Bytes packet, int /*iface*/) override {

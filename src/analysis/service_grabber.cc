@@ -145,9 +145,21 @@ void ServiceGrabber::start() {
   const double rate = config_.grabs_per_sec > 0 ? config_.grabs_per_sec : 1e9;
   const auto gap =
       static_cast<sim::SimTime>(static_cast<double>(sim::kSecond) / rate);
+  const sim::SimTime now = network()->now();
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     dispatch_[dispatch_key(queue_[i].target, svc::port_of(queue_[i].kind))] = i;
-    network()->loop().schedule_after(gap * i, [this, i] { launch(i); });
+    schedule_timer(now + gap * i, i);
+  }
+}
+
+void ServiceGrabber::on_timer(std::uint64_t tag) {
+  const std::size_t index = tag & (kTimerFinish - 1);
+  if ((tag & kTimerFinish) != 0) {
+    finish(index);
+  } else if ((tag & kTimerRequest) == 0) {
+    launch(index);
+  } else if (!queue_[index].finished) {
+    send_request_data(queue_[index]);
   }
 }
 
@@ -180,8 +192,8 @@ void ServiceGrabber::launch(std::size_t index) {
                                 job.client_seq, 0, pkt::kTcpSyn, 65535));
   }
 
-  network()->loop().schedule_after(config_.job_timeout,
-                                   [this, index] { finish(index); });
+  schedule_timer(network()->now() + config_.job_timeout,
+                 kTimerFinish | index);
 }
 
 void ServiceGrabber::send_request_data(Job& job) {
@@ -256,10 +268,8 @@ void ServiceGrabber::receive(pkt::Bytes packet, int /*iface*/) {
                           svc::port_of(job.kind), job.client_seq + 1,
                           job.server_next, pkt::kTcpAck, 65535));
       // And push the application request where one is needed.
-      network()->loop().schedule_after(
-          sim::kMillisecond, [this, index = it->second] {
-            if (!queue_[index].finished) send_request_data(queue_[index]);
-          });
+      schedule_timer(network()->now() + sim::kMillisecond,
+                     kTimerRequest | it->second);
       return;
     }
 

@@ -60,8 +60,14 @@ class ServiceGrabber : public sim::Node {
   }
 
   void receive(pkt::Bytes packet, int iface) override;
+  void on_timer(std::uint64_t tag) override;
 
  private:
+  // Timer tags: the job index, plus an action bit for a job timeout or a
+  // delayed application request (none: launch).
+  static constexpr std::uint64_t kTimerFinish = std::uint64_t{1} << 62;
+  static constexpr std::uint64_t kTimerRequest = std::uint64_t{1} << 63;
+
   struct Job {
     net::Ipv6Address target;
     svc::ServiceKind kind;

@@ -182,6 +182,28 @@ struct PoolAllocator {
 template <typename T>
 using PoolVector = std::vector<T, PoolAllocator<T>>;
 
+// Index-stable slots recycled through a free list, for in-flight state
+// that events name by index (send blocks, packet channels).
+template <typename T>
+class PoolSlab {
+ public:
+  [[nodiscard]] std::uint32_t acquire() {
+    if (free_.empty()) {
+      slots_.emplace_back();
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t idx = free_.back();
+    free_.pop_back();
+    return idx;
+  }
+  void release(std::uint32_t idx) { free_.push_back(idx); }
+  T& operator[](std::uint32_t idx) { return slots_[idx]; }
+
+ private:
+  PoolVector<T> slots_;
+  PoolVector<std::uint32_t> free_;
+};
+
 template <typename K>
 using PoolSet =
     std::unordered_set<K, std::hash<K>, std::equal_to<K>, PoolAllocator<K>>;

@@ -5,36 +5,39 @@
 // pacing, service response times) is expressed as scheduled events, which
 // makes every experiment fully deterministic for a given seed.
 //
+// One ordering rule: every event carries a key (when, seq), its timestamp
+// and a number from one loop-wide counter, and dispatches in key order, so
+// equal timestamps run FIFO. Events are fixed-size POD records dispatched
+// through a handler table (sim::Network owns the built-in kinds: node
+// timers and link-channel drains); there are no closures.
+//
+// Trains. A handler may process a run of sub-items in one dispatch (a
+// channel's queued packets, a scanner's probe block). Each item reserves
+// its seq when created (reserve_seqs), the one its own event would have
+// taken. An exact-order train takes its next item only while that key
+// precedes the queue head (before_head), which reproduces per-item
+// dispatch tie for tie; a free-running train, used only when nothing
+// observes processing order, runs on to the bulk horizon. A train that
+// stops re-arms under its next item's key.
+//
 // The queue is a timing wheel, not a heap. Scan pacing generates a dense
 // stream of near-future timestamps (sends one gap apart, deliveries one
 // link latency ahead), for which a binary heap pays O(log n) pointer-heavy
 // sifts per operation on every schedule and pop. Here an event lands in a
 // 4096-slot wheel of 1.024 us ticks with one store and a bitmap bit; pops
 // walk the bitmap. Only the slot under the cursor is ordered — as a small
-// binary heap, so out-of-order appends into it (bulk-train re-arms) cost
-// O(log slot) instead of a re-sort. Far-future events (cooldown expiry, spaced
-// retransmit blocks, flap epochs) overflow into a small min-heap, and they
-// re-enter the wheel wholesale as the window slides over them. Pop order
-// is exactly (timestamp, schedule seq) — identical to the old heap — which
-// the wheel/heap equivalence property test pins down.
-//
-// Event records are fixed-size PODs. The common kinds (packet delivery,
-// bulk channel drains, scanner block sends) dispatch through a registered
-// handler table with two payload words, so the hot path never constructs,
-// relocates or indirectly invokes a closure. Closure events still exist
-// for cold paths: the callable lives in a stable side slab and the record
-// carries its index, so heap/wheel data movement never runs user code.
+// binary heap, so out-of-order appends into it (train re-arms) cost
+// O(log slot) instead of a re-sort. Far-future events (cooldown expiry,
+// spaced retransmit blocks, flap epochs) overflow into a small min-heap,
+// and they re-enter the wheel wholesale as the window slides over them.
+// The wheel/heap equivalence property test pins pop order to (when, seq).
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <cstring>
-#include <new>
 #include <queue>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "netbase/compiler.h"
@@ -53,82 +56,14 @@ inline constexpr SimTime kSecond = 1000 * kMillisecond;
 // "No such time": later than every schedulable timestamp.
 inline constexpr SimTime kNeverTime = ~SimTime{0};
 
-// Move-only callable with fixed inline storage — the event loop's closure
-// type. std::function heap-allocates any capture beyond its tiny SBO
-// (libstdc++: 16 bytes). Closures that the substrate schedules fit in
-// kInlineFunctionCapacity bytes; captures that can't (cold paths only)
-// should wrap themselves in a std::function, which fits by definition.
-inline constexpr std::size_t kInlineFunctionCapacity = 88;
-
-class InlineFunction {
- public:
-  InlineFunction() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InlineFunction>>>
-  InlineFunction(F&& fn) {  // NOLINT(runtime/explicit)
-    using Fn = std::decay_t<F>;
-    static_assert(sizeof(Fn) <= kInlineFunctionCapacity,
-                  "capture too large for InlineFunction — trim the capture "
-                  "or box it in a std::function");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t));
-    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
-    invoke_ = [](void* p) { (*static_cast<Fn*>(p))(); };
-    relocate_ = [](void* dst, void* src) {
-      Fn* s = static_cast<Fn*>(src);
-      ::new (dst) Fn(std::move(*s));
-      s->~Fn();
-    };
-    destroy_ = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
-  }
-
-  InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
-  InlineFunction& operator=(InlineFunction&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-  InlineFunction(const InlineFunction&) = delete;
-  InlineFunction& operator=(const InlineFunction&) = delete;
-  ~InlineFunction() { reset(); }
-
-  [[nodiscard]] explicit operator bool() const { return invoke_ != nullptr; }
-  void operator()() { invoke_(buf_); }
-
- private:
-  void move_from(InlineFunction& other) noexcept {
-    invoke_ = other.invoke_;
-    relocate_ = other.relocate_;
-    destroy_ = other.destroy_;
-    if (relocate_ != nullptr) relocate_(buf_, other.buf_);
-    other.invoke_ = nullptr;
-    other.relocate_ = nullptr;
-    other.destroy_ = nullptr;
-  }
-  void reset() {
-    if (destroy_ != nullptr) destroy_(buf_);
-    invoke_ = nullptr;
-    relocate_ = nullptr;
-    destroy_ = nullptr;
-  }
-
-  alignas(std::max_align_t) unsigned char buf_[kInlineFunctionCapacity];
-  void (*invoke_)(void*) = nullptr;
-  void (*relocate_)(void*, void*) = nullptr;
-  void (*destroy_)(void*) = nullptr;
-};
-
-// Typed event kinds. Kind 0 is the closure fallback; the others dispatch
-// through the handler table (see EventLoop::register_handler). The set is
-// small and closed on purpose: these are the simulator's hot paths.
+// Typed event kinds, dispatched through the handler table (see
+// EventLoop::register_handler). sim::Network registers the two built-in
+// kinds; kinds from kEventFirstFree up are free for a caller's own handler
+// (tests, benches).
 enum : std::uint32_t {
-  kEventClosure = 0,      // payload a = closure slab index
-  kEventDeliver = 1,      // sim::Network: one packet delivery
-  kEventChannelDrain = 2, // sim::Network: bulk link-channel drain
-  kEventScanBlock = 3,    // scan::SimChannelScanner: probe-block send train
+  kEventTimer = 0,         // sim::Network: Node::on_timer, a = node, b = tag
+  kEventChannelDrain = 1,  // sim::Network: link-channel train, a = channel
+  kEventFirstFree = 2,
   kEventKindCount = 8,
 };
 
@@ -146,14 +81,29 @@ class EventLoop {
   using Handler = void (*)(void* ctx, SimTime when, std::uint64_t a,
                            std::uint64_t b);
   void register_handler(std::uint32_t kind, void* ctx, Handler fn) {
-    assert(kind > kEventClosure && kind < kEventKindCount);
+    assert(kind < kEventKindCount);
     handlers_[kind] = {ctx, fn};
   }
 
-  // Schedules a typed POD event — no closure, no allocation beyond the
-  // wheel slot itself.
+  // Schedules a typed POD event keyed (when, next seq) — no allocation
+  // beyond the wheel slot itself.
   void schedule_event(SimTime when, std::uint32_t kind, std::uint64_t a,
                       std::uint64_t b) {
+    schedule_reserved(when, next_seq_++, kind, a, b);
+  }
+
+  // Hands out `n` consecutive seqs (returns the first) without scheduling
+  // anything: a train item takes its seq when it is created, and its
+  // train is later (re-)armed under that key with schedule_reserved.
+  [[nodiscard]] std::uint64_t reserve_seqs(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  // Schedules a typed event under a seq obtained from reserve_seqs.
+  void schedule_reserved(SimTime when, std::uint64_t seq, std::uint32_t kind,
+                         std::uint64_t a, std::uint64_t b) {
     if (XMAP_UNLIKELY(when < now_)) {
       // A past timestamp is a latent determinism bug in the caller (the
       // event would run at a load-dependent time, not the intended one):
@@ -167,23 +117,15 @@ class EventLoop {
       if (clamp_cell_ != nullptr) ++*clamp_cell_;
       when = now_;
     }
-    push_record(Record{when, next_seq_++, a, b, kind, 0});
+    push_record(Record{when, seq, a, b, kind, 0});
   }
 
-  void schedule_at(SimTime when, InlineFunction fn) {
-    std::uint32_t ci;
-    if (!closure_free_.empty()) {
-      ci = closure_free_.back();
-      closure_free_.pop_back();
-      closures_[ci] = std::move(fn);
-    } else {
-      ci = static_cast<std::uint32_t>(closures_.size());
-      closures_.push_back(std::move(fn));
-    }
-    schedule_event(when, kEventClosure, ci, 0);
-  }
-  void schedule_after(SimTime delay, InlineFunction fn) {
-    schedule_at(now_ + delay, std::move(fn));
+  // True when key (when, seq) sorts before every queued event (or the
+  // queue is empty): an exact-order train may take that item now and
+  // dispatch exactly where the item's own event would have.
+  [[nodiscard]] bool before_head(SimTime when, std::uint64_t seq) {
+    if (!head_known_) find_head();
+    return precedes_head(when, seq);
   }
 
   // Events scheduled into the past since construction (release builds
@@ -192,29 +134,21 @@ class EventLoop {
   [[nodiscard]] std::uint64_t clamped() const { return clamped_; }
   void set_clamp_cell(std::uint64_t* cell) { clamp_cell_ = cell; }
 
-  // ---- Bulk-processing contract -------------------------------------------
+  // ---- Train contract -----------------------------------------------------
   //
-  // A bulk handler (channel drain, scan block) processes a train of
-  // sub-items inside one popped event, advancing the clock to each item's
+  // A train handler (channel drain, scan block sweep) processes sub-items
+  // inside one popped event, advancing the clock to each item's
   // precomputed analytic stamp via set_time(). It must not process items
   // stamped beyond bulk_horizon(): run_until() lowers the horizon to its
   // deadline so a train straddling the deadline re-arms itself instead of
-  // overshooting. After a train the loop clock may be ahead of the next
-  // queued event; the next pop simply rewinds it. Causality is preserved
-  // because every stamp carried by a train is a pure function of the
-  // schedule, never of processing order.
+  // overshooting. After a free-running train the loop clock may be ahead
+  // of the next queued event; the next pop simply rewinds it. Causality is
+  // preserved because every stamp carried by a train is a pure function of
+  // the schedule, never of processing order.
   [[nodiscard]] SimTime bulk_horizon() const { return bulk_horizon_; }
   void set_time(SimTime t) {
     assert(t <= bulk_horizon_);
     now_ = t;
-  }
-
-  // Timestamp of the next queued event, or kNeverTime when the queue is
-  // empty. Bulk handlers cap their trains at this bound so every delivery
-  // happens with all earlier-stamped events already processed.
-  [[nodiscard]] SimTime next_when() {
-    if (!prepare(~std::uint64_t{0})) return kNeverTime;
-    return slots_[cur_tick_ & kSlotMask].front().when;
   }
 
   // Runs one event; returns false when the queue is empty.
@@ -232,8 +166,8 @@ class EventLoop {
   }
 
   // Runs events with timestamps <= `deadline`; the clock ends at `deadline`
-  // if the queue drains or only later events remain. Bulk trains stop at
-  // the deadline too (see bulk_horizon above).
+  // if the queue drains or only later events remain. Trains stop at the
+  // deadline too (see bulk_horizon above).
   void run_until(SimTime deadline) {
     const SimTime saved_horizon = bulk_horizon_;
     bulk_horizon_ = deadline;
@@ -254,7 +188,7 @@ class EventLoop {
   struct Record {
     SimTime when;
     std::uint64_t seq;  // FIFO tie-break for equal timestamps
-    std::uint64_t a;    // payload word (closure slab index for kind 0)
+    std::uint64_t a;    // payload word
     std::uint64_t b;    // payload word
     std::uint32_t kind;
     std::uint32_t pad_;
@@ -285,6 +219,10 @@ class EventLoop {
       overflow_.push(r);
     }
     ++live_;
+    if (head_known_ && precedes_head(r.when, r.seq)) {
+      head_when_ = r.when;
+      head_seq_ = r.seq;
+    }
   }
 
   void push_slot(const Record& r, std::uint64_t tick) {
@@ -367,6 +305,39 @@ class EventLoop {
     }
   }
 
+  [[nodiscard]] bool precedes_head(SimTime when, std::uint64_t seq) const {
+    return when < head_when_ || (when == head_when_ && seq < head_seq_);
+  }
+
+  // Recomputes the cached head key without moving the cursor: a train asks
+  // mid-dispatch, and overflow entries the window slid over are not swept
+  // into the wheel yet, so both the next occupied slot and the overflow
+  // top are candidates.
+  void find_head() {
+    head_when_ = kNeverTime;
+    head_seq_ = ~std::uint64_t{0};
+    head_known_ = true;
+    auto consider = [this](const Record& r) {
+      if (precedes_head(r.when, r.seq)) {
+        head_when_ = r.when;
+        head_seq_ = r.seq;
+      }
+    };
+    net::PoolVector<Record>& cur = slots_[cur_tick_ & kSlotMask];
+    if (!cur.empty()) {
+      if (!cur_heaped_) {
+        std::make_heap(cur.begin(), cur.end(), LaterRec{});
+        cur_heaped_ = true;
+      }
+      consider(cur.front());
+      return;
+    }
+    if (const std::uint32_t d = next_bit_distance(); d != 0) {
+      for (const Record& r : slots_[(cur_tick_ + d) & kSlotMask]) consider(r);
+    }
+    if (!overflow_.empty()) consider(overflow_.top());
+  }
+
   void pop_dispatch() {
     net::PoolVector<Record>& v = slots_[cur_tick_ & kSlotMask];
     std::pop_heap(v.begin(), v.end(), LaterRec{});
@@ -375,21 +346,15 @@ class EventLoop {
     now_ = r.when;
     ++processed_;
     --live_;
-    if (r.kind == kEventClosure) {
-      const auto ci = static_cast<std::uint32_t>(r.a);
-      InlineFunction fn = std::move(closures_[ci]);
-      closure_free_.push_back(ci);
-      fn();
-    } else {
-      const HandlerEntry& h = handlers_[r.kind];
-      h.fn(h.ctx, r.when, r.a, r.b);
-    }
+    head_known_ = false;
+    const HandlerEntry& h = handlers_[r.kind];
+    assert(h.fn != nullptr && "EventLoop: no handler for event kind");
+    h.fn(h.ctx, r.when, r.a, r.b);
   }
 
-  // Pool-backed storage throughout: slot vectors, the overflow heap's
-  // backing vector and the closure slab all grow through the thread-local
-  // BytePool, so a warmed-up thread schedules events without touching the
-  // global heap.
+  // Pool-backed storage throughout: slot vectors and the overflow heap's
+  // backing vector grow through the thread-local BytePool, so a warmed-up
+  // thread schedules events without touching the global heap.
   net::PoolVector<Record> slots_[kSlots];
   std::uint64_t bitmap_[kSlots / 64] = {};
   std::uint64_t cur_tick_ = 0;
@@ -402,8 +367,11 @@ class EventLoop {
   };
   HandlerEntry handlers_[kEventKindCount];
 
-  net::PoolVector<InlineFunction> closures_;
-  net::PoolVector<std::uint32_t> closure_free_;
+  // Cached queue-head key for before_head(): kept current by every push,
+  // dropped by every pop. An empty queue's head is (kNeverTime, max seq).
+  SimTime head_when_ = kNeverTime;
+  std::uint64_t head_seq_ = ~std::uint64_t{0};
+  bool head_known_ = true;
 
   SimTime now_ = 0;
   SimTime bulk_horizon_ = kNeverTime;

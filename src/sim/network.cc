@@ -20,17 +20,17 @@ Network::Attachment Network::connect(NodeId a, NodeId b,
   return {id, link.a.iface, link.b.iface};
 }
 
-// Bulk eligibility: see the mode discussion in network.h. The per-link
-// strict flags let a fault plan with duplication/jitter dials keep bulk
-// delivery on every other link class.
-void Network::recompute_bulk() {
-  bool ok = bulk_user_enabled_ && !tracer_ &&
+// Train rules: see the delivery discussion in network.h. The per-link
+// exact flags let a fault plan with duplication/jitter dials keep free
+// running on every other link class.
+void Network::refresh_mode() {
+  bool ok = !tracer_ &&
             (trace_ == nullptr || !trace_->at(obs::TraceLevel::kPacket));
   if (ok) {
     for (const Link& link : links_) {
       if (link.params.loss > 0 || link.params.rate_bps > 0) {
         // Sequential-RNG loss and transmit-queue serialization both depend
-        // on global transmit order; no per-link fallback can save them.
+        // on global transmit order; no per-link exception can save them.
         ok = false;
         break;
       }
@@ -44,16 +44,16 @@ void Network::recompute_bulk() {
       }
     }
   }
-  link_strict_.assign(links_.size(), 0);
-  if (ok && faults_) {
+  link_exact_.assign(links_.size(), 0);
+  if (faults_) {
     for (std::size_t i = 0; i < links_.size(); ++i) {
       const LinkFaultParams& p =
           faults_->params(links_[i].params.fault_class);
-      if (p.duplicate > 0 || p.jitter_ms > 0) link_strict_[i] = 1;
+      if (p.duplicate > 0 || p.jitter_ms > 0) link_exact_[i] = 1;
     }
   }
-  if (ok && channels_.size() < links_.size() * 2) {
-    channels_.resize(links_.size() * 2);
+  if (chan_slot_.size() < links_.size() * 2) {
+    chan_slot_.resize(links_.size() * 2, kNoSlot);
   }
   bulk_cached_ = ok ? 1 : 0;
 }
@@ -125,98 +125,87 @@ void Network::transmit(NodeId from, int iface, pkt::Bytes packet) {
     link.stats.bytes_ba += size;
   }
 
+  if (bulk_cached_ < 0) refresh_mode();  // sizes the channel slot table
   const std::uint32_t chan =
       static_cast<std::uint32_t>(link_id) * 2 + (is_a ? 0u : 1u);
-  if (bulk_mode() && link_strict_[link_id] == 0) {
-    // Bulk links never see duplicate/jitter verdicts (those dials force
-    // the per-link strict flag), so one channel item per packet suffices.
-    chan_append(chan, arrive, std::move(packet));
-    return;
-  }
   if (verdict.duplicate) {
-    schedule_deliver(arrive + kMicrosecond, chan, packet);
+    chan_append(chan, arrive + kMicrosecond, packet);
   }
-  schedule_deliver(arrive, chan, std::move(packet));
-}
-
-void Network::schedule_deliver(SimTime when, std::uint32_t chan,
-                               pkt::Bytes packet) {
-  std::uint32_t idx;
-  if (!pkt_free_.empty()) {
-    idx = pkt_free_.back();
-    pkt_free_.pop_back();
-    pkt_slab_[idx] = std::move(packet);
-  } else {
-    idx = static_cast<std::uint32_t>(pkt_slab_.size());
-    pkt_slab_.push_back(std::move(packet));
-  }
-  loop_.schedule_event(when, kEventDeliver, idx, chan);
-}
-
-void Network::on_deliver_event(void* ctx, SimTime when, std::uint64_t a,
-                               std::uint64_t b) {
-  auto* net = static_cast<Network*>(ctx);
-  const auto idx = static_cast<std::uint32_t>(a);
-  pkt::Bytes packet = std::move(net->pkt_slab_[idx]);
-  net->pkt_free_.push_back(idx);
-  net->deliver_one(static_cast<std::uint32_t>(b), when, std::move(packet));
+  chan_append(chan, arrive, std::move(packet));
 }
 
 void Network::chan_append(std::uint32_t chan, SimTime stamp,
                           pkt::Bytes packet) {
-  assert(chan < channels_.size());  // sized by recompute_bulk()
-  Channel& c = channels_[chan];
+  assert(chan < chan_slot_.size());  // sized by refresh_mode()
+  // The newest seq is the largest, so among equal stamps the packet goes
+  // last: transmit-order FIFO, i.e. key order.
+  const std::uint64_t seq = loop_.reserve_seqs(1);
+  std::uint32_t& slot = chan_slot_[chan];
+  if (slot == kNoSlot) slot = active_.acquire();
+  Channel& c = active_[slot];
+  if (c.head >= 64 && 2 * c.head >= c.items.size()) {
+    // A channel that never drains empty (the vantage link of a fast scan)
+    // drops its delivered prefix, amortized O(1) per packet.
+    c.items.erase(c.items.begin(), c.items.begin() + c.head);
+    c.head = 0;
+  }
   if (c.items.size() > c.head && stamp < c.items.back().stamp) {
-    // A drain cascade produced a lower arrival stamp than an already-queued
-    // one (trains of different channels interleave out of stamp order).
-    // upper_bound keeps FIFO transmit order for equal stamps.
     auto pos = std::upper_bound(
         c.items.begin() + c.head, c.items.end(), stamp,
         [](SimTime s, const ChanItem& item) { return s < item.stamp; });
-    c.items.insert(pos, ChanItem{stamp, std::move(packet)});
+    c.items.insert(pos, ChanItem{stamp, seq, std::move(packet)});
   } else {
-    c.items.push_back(ChanItem{stamp, std::move(packet)});
+    c.items.push_back(ChanItem{stamp, seq, std::move(packet)});
   }
-  const SimTime head_stamp = c.items[c.head].stamp;
-  if (head_stamp < c.armed_when) {
-    c.armed_when = head_stamp;
-    loop_.schedule_event(head_stamp, kEventChannelDrain, chan, head_stamp);
+  if (c.items[c.head].seq == seq) {
+    loop_.schedule_reserved(stamp, seq, kEventChannelDrain, chan, seq);
   }
+}
+
+void Network::on_timer_event(void* ctx, SimTime /*when*/, std::uint64_t a,
+                             std::uint64_t b) {
+  static_cast<Network*>(ctx)->nodes_[a]->on_timer(b);
 }
 
 void Network::on_drain_event(void* ctx, SimTime /*when*/, std::uint64_t a,
                              std::uint64_t b) {
   auto* net = static_cast<Network*>(ctx);
-  Channel& c = net->channels_[static_cast<std::uint32_t>(a)];
+  const auto chan = static_cast<std::uint32_t>(a);
+  const std::uint32_t slot = net->chan_slot_[chan];
+  // Payload b is the seq of the head this drain was armed for; a drain
+  // superseded by a lower-keyed arrival (its item since delivered by
+  // that earlier drain, or re-armed under the same key) does nothing.
+  if (slot == kNoSlot) return;
+  if (const Channel& c = net->active_[slot]; c.items[c.head].seq != b) return;
   EventLoop& loop = net->loop_;
-  // Payload b carries the armed stamp: an event superseded by a lower
-  // re-arm (its work already done by the earlier drain) returns without
-  // touching the channel, so stale drains never multiply.
-  if (static_cast<SimTime>(b) != c.armed_when) return;
-  // Deliver the run of packets whose stamps precede the bulk horizon —
-  // and, when an order observer (checkpoint hook) is registered, the next
-  // queued event, which reproduces exact per-event interleaving. Indices,
-  // not iterators: a delivery can cascade into an append on this very
-  // channel.
   const SimTime horizon = loop.bulk_horizon();
-  const bool strict_order = net->order_observed_;
-  while (c.head < c.items.size()) {
-    const SimTime stamp = c.items[c.head].stamp;
-    if (stamp > horizon || (strict_order && stamp > loop.next_when())) break;
-    pkt::Bytes packet = std::move(c.items[c.head].bytes);
-    ++c.head;
+  const bool exact = !net->free_running() || net->link_exact_[chan >> 1] != 0;
+  // The head's key was the queue minimum, so it always goes; each further
+  // item goes while it precedes the horizon and, in exact order, the queue
+  // head. A delivery can cascade into appends that grow active_, so the
+  // channel is looked up again after each one.
+  for (;;) {
+    Channel* c = &net->active_[slot];
+    const SimTime stamp = c->items[c->head].stamp;
+    pkt::Bytes packet = std::move(c->items[c->head].bytes);
+    ++c->head;
     loop.set_time(stamp);
-    net->deliver_one(static_cast<std::uint32_t>(a), stamp, std::move(packet));
-  }
-  if (c.head >= c.items.size()) {
-    c.items.clear();
-    c.head = 0;
-    c.armed_when = kNeverTime;
-  } else {
-    const SimTime head_stamp = c.items[c.head].stamp;
-    c.armed_when = head_stamp;
-    loop.schedule_event(head_stamp, kEventChannelDrain,
-                        static_cast<std::uint32_t>(a), head_stamp);
+    net->deliver_one(chan, stamp, std::move(packet));
+    c = &net->active_[slot];
+    if (c->head >= c->items.size()) {
+      c->items.clear();
+      c->head = 0;
+      net->active_.release(slot);
+      net->chan_slot_[chan] = kNoSlot;
+      return;
+    }
+    const ChanItem& next = c->items[c->head];
+    if (next.stamp > horizon ||
+        (exact && !loop.before_head(next.stamp, next.seq))) {
+      loop.schedule_reserved(next.stamp, next.seq, kEventChannelDrain, chan,
+                             next.seq);
+      return;
+    }
   }
 }
 

@@ -5,27 +5,25 @@
 // keep per-direction traffic counters — the routing-loop amplification
 // experiments read those counters directly.
 //
-// Packet delivery runs in one of two modes:
+// Packet delivery has one path. Each (link, direction) channel holds its
+// in-flight packets sorted by key (arrival stamp, transmit seq); the seq is
+// reserved from the event loop at transmit, the one a per-packet event
+// would have taken. One kEventChannelDrain event under the head's key
+// stands for the channel, and a drain delivers a train of packets,
+// advancing the clock to each stamp. Trains differ only in length:
 //
-//  * Strict mode: every hop is one typed event (kEventDeliver), popped in
-//    exact (timestamp, seq) order. Always correct, used whenever anything
-//    order-sensitive is attached (per-packet tracing, a delivery tracer,
-//    sequential-RNG link loss, serialization queues, or a node whose
-//    observable behaviour depends on cross-link packet interleaving).
+//  * Exact order: take the next packet only while its key precedes the
+//    queue head — per-packet (when, seq) order, tie for tie. Used whenever
+//    anything observes order: packet tracing, a delivery tracer,
+//    sequential-RNG link loss, serialization queues, a time_sensitive()
+//    node, or a declared order observer (set_order_observed).
 //
-//  * Bulk mode: each (link, direction) owns a persistent stamp-sorted
-//    channel of in-flight packets; one kEventChannelDrain event delivers a
-//    whole run of them, advancing the virtual clock to each packet's
-//    precomputed arrival stamp. Drains never run past the next queued
-//    event's timestamp, so every delivery still happens with all
-//    earlier-stamped events already processed — per-channel order is exact
-//    (timestamp, transmit-order ties), and cross-channel ties are the only
-//    freedom, which the eligibility gates restrict to nodes that declare
-//    themselves order-insensitive (time_sensitive() == false). Fault
-//    verdicts are keyed off (link, packet bytes, attempt, stamp), so
-//    drop/corrupt/flap dials batch; duplication and jitter change arrival
-//    times, so links under those dials individually fall back to strict
-//    per-packet events.
+//  * Free running, when bulk_mode() says nothing observes order: deliver
+//    the whole backlog up to the loop's bulk horizon. Cross-channel ties
+//    are then the only freedom, and only order-insensitive nodes see it.
+//    Fault verdicts are keyed off (link, bytes, attempt, stamp), so
+//    drop/corrupt/flap dials batch; duplication and jitter reorder
+//    arrivals within a link, so those links keep exact order.
 #pragma once
 
 #include <algorithm>
@@ -59,14 +57,18 @@ class Node {
   // per-hop copy.
   virtual void receive(pkt::Bytes packet, int iface) = 0;
 
-  // Bulk-delivery eligibility. Return false when this node's observable
+  // Free-running eligibility. Return false when this node's observable
   // behaviour is a pure function of each packet's bytes and arrival
   // timestamp (counters that only ever sum are fine). Return true (the
   // conservative default) when behaviour depends on the interleaving of
   // packets across different links — e.g. a token-bucket rate limiter, or
   // a provisioning protocol whose allocations follow request order. One
-  // time-sensitive node pins the whole network to strict mode.
+  // time-sensitive node pins the whole network to exact-order delivery.
   [[nodiscard]] virtual bool time_sensitive() const { return true; }
+
+  // Called when a timer armed by schedule_timer() fires, with its tag; the
+  // clock reads the timer's timestamp.
+  virtual void on_timer(std::uint64_t /*tag*/) {}
 
   // Called once before event processing starts (and again after topology
   // changes). Hook for deferred setup that would otherwise run lazily
@@ -81,6 +83,14 @@ class Node {
  protected:
   // Sends a packet out of one of this node's interfaces.
   void send(int iface, pkt::Bytes packet);
+
+  // Arms on_timer(tag) at `when` (>= now), keyed like any other event.
+  void schedule_timer(SimTime when, std::uint64_t tag);
+  // The same under a seq reserved earlier (EventLoop::reserve_seqs), so a
+  // train that stops re-arms exactly where its next item's event would
+  // have been dispatched.
+  void schedule_reserved_timer(SimTime when, std::uint64_t seq,
+                               std::uint64_t tag);
 
  private:
   friend class Network;
@@ -114,7 +124,7 @@ struct LinkStats {
 class Network {
  public:
   explicit Network(std::uint64_t seed = 1) : rng_(seed), seed_(seed) {
-    loop_.register_handler(kEventDeliver, this, &Network::on_deliver_event);
+    loop_.register_handler(kEventTimer, this, &Network::on_timer_event);
     loop_.register_handler(kEventChannelDrain, this, &Network::on_drain_event);
   }
   Network(const Network&) = delete;
@@ -195,34 +205,28 @@ class Network {
     return packets_delivered_;
   }
 
-  // True when the network delivers through bulk channels (recomputed
-  // lazily after any topology/fault/observability change). The scanner
-  // checks this to decide whether block-granular send events are safe.
+  // True when nothing attached observes cross-channel delivery order, so
+  // channel drains may run free (recomputed lazily after any topology,
+  // fault or observability change).
   [[nodiscard]] bool bulk_mode() {
-    if (bulk_cached_ < 0) recompute_bulk();
+    if (bulk_cached_ < 0) refresh_mode();
     return bulk_cached_ != 0;
   }
   // Declares that something observes event-processing order, not just
-  // event stamps — today that is a checkpoint hook, whose "every record
-  // below the cursor is in hand" claim only holds under exact global
-  // stamp-order processing. While set, bulk trains (channel drains, scan
-  // block sweeps) cap every item at the loop's next queued event, exactly
-  // reproducing per-event interleaving. Without an observer the caps drop
-  // and a drain delivers its whole backlog in one dispatch; stamps are
-  // analytic either way, so stamped outputs are identical.
+  // event stamps — today a checkpoint hook, whose "every record below the
+  // cursor is in hand" claim needs exact (when, seq) processing. While set,
+  // every train runs in exact order; stamps are analytic either way, so
+  // stamped outputs are identical.
   void set_order_observed(bool observed) { order_observed_ = observed; }
-  [[nodiscard]] bool order_observed() const { return order_observed_; }
-
-  // Master switch, default on. The bulk-vs-strict equivalence tests turn
-  // it off to produce the per-packet reference run. Set before run().
-  void set_bulk_enabled(bool enabled) {
-    bulk_user_enabled_ = enabled;
-    bulk_cached_ = -1;
+  // The train rule for anything not bound to a fault-dialled link: free
+  // running in bulk mode without an order observer, exact order otherwise.
+  [[nodiscard]] bool free_running() {
+    return bulk_mode() && !order_observed_;
   }
 
   // Delivery tracer: called for every delivered packet (after loss, at
   // arrival time) — a pcap-style tap for debugging and the examples.
-  // Pass nullptr to disable. Forces strict per-packet delivery.
+  // Pass nullptr to disable. Forces exact-order delivery.
   using Tracer = std::function<void(SimTime when, NodeId from, NodeId to,
                                     const pkt::Bytes& packet)>;
   void set_tracer(Tracer tracer) {
@@ -302,43 +306,43 @@ class Network {
     SimTime next_free_ba = 0;
   };
 
-  // One in-flight packet inside a bulk channel.
+  // One in-flight packet: its key (arrival stamp, transmit seq).
   struct ChanItem {
-    SimTime stamp;  // arrival time
+    SimTime stamp;
+    std::uint64_t seq;
     pkt::Bytes bytes;
   };
-  // Per-(link, direction) delivery channel: `items[head..)` sorted by
-  // arrival stamp (transmit-order FIFO for equal stamps), one armed drain
-  // event at the head stamp. Channel index = link * 2 + direction
-  // (0 = a->b, 1 = b->a).
+  // A (link, direction) channel with packets in flight: `items[head..)`
+  // sorted by key. The head item always has a drain event under its own
+  // key; a drain whose seq is no longer the head's was superseded and does
+  // nothing. Channel index = link * 2 + direction (0 = a->b, 1 = b->a).
   struct Channel {
     net::PoolVector<ChanItem> items;
     std::uint32_t head = 0;
-    SimTime armed_when = kNeverTime;
   };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   // Routes a transmit request from (node, iface) onto its link.
   void transmit(NodeId from, int iface, pkt::Bytes packet);
 
-  // Shared delivery tail for both modes: silent-node check, counters,
-  // trace, hand the packet to the destination node. `chan` encodes
-  // (link, direction); the loop clock equals `when` on entry.
+  // Delivery tail: silent-node check, counters, trace, hand the packet to
+  // the destination node. `chan` encodes (link, direction); the loop
+  // clock equals `when` on entry.
   void deliver_one(std::uint32_t chan, SimTime when, pkt::Bytes packet);
 
-  // Strict mode: parks the packet in the slab and schedules a typed
-  // delivery event.
-  void schedule_deliver(SimTime when, std::uint32_t chan, pkt::Bytes packet);
-
-  // Bulk mode: appends to the channel (sorted insert when a drain cascade
-  // produced an out-of-order arrival stamp) and arms a drain if needed.
+  // Reserves the packet's transmit seq, inserts it by key (jitter or
+  // interleaved trains can queue a later stamp first) and arms a drain if
+  // it became the head.
   void chan_append(std::uint32_t chan, SimTime stamp, pkt::Bytes packet);
 
-  static void on_deliver_event(void* ctx, SimTime when, std::uint64_t a,
-                               std::uint64_t b);
+  static void on_timer_event(void* ctx, SimTime when, std::uint64_t a,
+                             std::uint64_t b);
   static void on_drain_event(void* ctx, SimTime when, std::uint64_t a,
                              std::uint64_t b);
 
-  void recompute_bulk();
+  // Recomputes bulk_mode() and the per-link exact-order flags, and sizes
+  // the channel slot table.
+  void refresh_mode();
 
   EventLoop loop_;
   net::Rng rng_;
@@ -359,14 +363,14 @@ class Network {
   std::vector<std::vector<LinkId>> node_links_;
   std::uint64_t packets_delivered_ = 0;
 
-  // Bulk-delivery state.
-  // Pool-backed so the lazy recompute inside run() stays off the global
-  // heap once the thread-local pool is warm.
-  net::PoolVector<Channel> channels_;          // 2 per link, lazily sized
-  net::PoolVector<std::uint8_t> link_strict_;  // per-link fall-back flag
-  net::PoolVector<pkt::Bytes> pkt_slab_;   // strict-mode in-flight packets
-  net::PoolVector<std::uint32_t> pkt_free_;
-  bool bulk_user_enabled_ = true;
+  // Delivery state, pool-backed so the lazy refresh inside run() stays off
+  // the global heap. Only channels with packets in flight hold storage:
+  // chan_slot_ (2 per link) indexes active_, or is kNoSlot while idle; an
+  // emptied channel goes back with its capacity. So memory follows the
+  // packets in flight, not the link count.
+  net::PoolVector<std::uint32_t> chan_slot_;
+  net::PoolSlab<Channel> active_;
+  net::PoolVector<std::uint8_t> link_exact_;  // duplicate/jitter dials
   bool run_prepared_ = false;
   bool order_observed_ = false;
   int bulk_cached_ = -1;  // -1 unknown, else 0/1
@@ -374,6 +378,15 @@ class Network {
 
 inline void Node::send(int iface, pkt::Bytes packet) {
   network_->transmit(id_, iface, std::move(packet));
+}
+
+inline void Node::schedule_timer(SimTime when, std::uint64_t tag) {
+  network_->loop_.schedule_event(when, kEventTimer, id_, tag);
+}
+
+inline void Node::schedule_reserved_timer(SimTime when, std::uint64_t seq,
+                                          std::uint64_t tag) {
+  network_->loop_.schedule_reserved(when, seq, kEventTimer, id_, tag);
 }
 
 }  // namespace xmap::sim

@@ -358,11 +358,7 @@ BuiltInternet build_internet(sim::Network& net,
           router->set_provisioner(out.provisioners[router].get());
         }
         out.provisioners[router]->set_offer(att.iface_a, pending.offer);
-        CpeRouter* cpe = pending.cpe;
-        const auto params = pending.params;
-        net.loop().schedule_after(0, [cpe, params] {
-          cpe->begin_provisioning(params);
-        });
+        pending.cpe->schedule_provisioning(pending.params);
       }
       router->table().add_forward(rec.slot, att.iface_a);
       if (rec.separate_wan || spec.delegated_len != 64) {

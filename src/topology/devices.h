@@ -180,6 +180,15 @@ class CpeRouter : public sim::Node {
   // Sends the Router Solicitation; the rest of the exchange is driven by
   // the replies. Call after the WAN link is connected.
   void begin_provisioning(const ProvisionParams& params);
+  // The same, from a timer at the current sim time (a provisioning kick
+  // queued while the world is still being built).
+  void schedule_provisioning(const ProvisionParams& params) {
+    provision_params_ = params;
+    schedule_timer(network()->now(), 0);
+  }
+  void on_timer(std::uint64_t /*tag*/) override {
+    begin_provisioning(provision_params_);
+  }
   [[nodiscard]] bool provisioned() const { return provision_done_; }
 
   [[nodiscard]] const Config& config() const { return config_; }

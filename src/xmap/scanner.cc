@@ -1,6 +1,7 @@
 #include "xmap/scanner.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace xmap::scan {
@@ -227,7 +228,28 @@ void SimChannelScanner::start() {
   template_ = module_.make_template(config_.source, config_.seed);
 
   stats_.first_send = origin_;
-  network()->loop().schedule_after(0, [this] { schedule_fresh(); });
+  assert(copies_ < (1 << 22));  // a timer tag's copy field
+  schedule_timer(origin_, kTagDraw);
+}
+
+void SimChannelScanner::on_timer(std::uint64_t tag) {
+  const auto slot = static_cast<std::uint32_t>((tag & ~kTagKindMask) >> 30);
+  const auto copy = static_cast<std::uint32_t>((tag >> 8) & 0x3fffff);
+  switch (tag & kTagKindMask) {
+    case kTagSweep:
+      run_sweep(slot, copy, static_cast<std::uint32_t>(tag & 0xff));
+      break;
+    case kTagAdaptive: {
+      // Copy the target out: schedule_fresh may grow pending_.
+      const net::Ipv6Address target = pending_[slot].target;
+      if (--pending_[slot].live_copies == 0) pending_.release(slot);
+      send_copy(target, static_cast<int>(copy));
+      if (copy == 0) schedule_fresh();
+      break;
+    }
+    default:
+      schedule_fresh();
+  }
 }
 
 bool SimChannelScanner::next_target(net::Ipv6Address& out,
@@ -349,145 +371,86 @@ void SimChannelScanner::schedule_fresh() {
     const auto spacing = static_cast<sim::SimTime>(
         std::max(0.0, config_.retry_spacing_ms) *
         static_cast<double>(sim::kMillisecond));
+    const std::uint32_t pidx = pending_.acquire();
+    pending_[pidx] = PendingTarget{target, static_cast<std::uint32_t>(copies_)};
     for (int c = 0; c < copies_; ++c) {
       ++pending_sends_;
       const sim::SimTime tc =
           t0 + static_cast<sim::SimTime>(c) * std::max(spacing, gap);
-      network()->loop().schedule_at(tc, [this, target, c] {
-        send_copy(target, c);
-        if (c == 0) schedule_fresh();
-      });
+      schedule_timer(
+          tc, make_tag(kTagAdaptive, pidx, static_cast<std::uint64_t>(c)));
     }
     return;
   }
 
   // Deterministic slot pacing: every copy owns one global packet slot, so
   // send times depend only on (seed, targets, rate, retries) — never on
-  // shard count or thread count. Draws come in blocks; the next block is
-  // armed on the last target's copy-0 send.
-  //
-  // Bulk block path: the whole draw batch becomes ONE typed event per copy
-  // sweep (see run_block_copy) instead of count*copies closures. Decided on
-  // the first dispatch — which runs inside Network::run(), after every
-  // connect/install_faults/set_obs call — so the network's bulk verdict is
-  // final by now.
-  if (use_blocks_ < 0) {
-    use_blocks_ = (!config_.adaptive_rate &&
-                   (trace_ == nullptr ||
-                    !trace_->at(obs::TraceLevel::kScan)) &&
-                   network()->bulk_mode())
-                      ? 1
-                      : 0;
-    if (use_blocks_ != 0) {
-      network()->loop().register_handler(sim::kEventScanBlock, this,
-                                         &SimChannelScanner::on_block_event);
-    }
-  }
-  if (use_blocks_ != 0) {
-    std::uint32_t bidx;
-    if (!block_free_.empty()) {
-      bidx = block_free_.back();
-      block_free_.pop_back();
-    } else {
-      bidx = static_cast<std::uint32_t>(blocks_.size());
-      blocks_.emplace_back();
-    }
-    SendBlock& blk = blocks_[bidx];
-    blk.count = 0;
-    bool more = true;
-    for (std::uint64_t b = 0; b < kFreshBatch; ++b) {
-      if (!draw_fresh(target, raw_slot)) {
-        more = false;
-        fresh_done_ = true;
-        break;
-      }
-      blk.targets[blk.count] = target;
-      blk.raw_slots[blk.count] = raw_slot;
-      ++blk.count;
-      pending_sends_ += static_cast<std::uint64_t>(copies_);
-    }
-    if (blk.count == 0) {
-      block_free_.push_back(bidx);
-      maybe_finish_sending();
-      return;
-    }
-    blk.rearm = more;
-    blk.live_copies = static_cast<std::uint32_t>(copies_);
-    for (int c = 0; c < copies_; ++c) {
-      const sim::SimTime tc =
-          copy_time(blk.raw_slots[0], static_cast<std::uint32_t>(c));
-      network()->loop().schedule_event(
-          tc, sim::kEventScanBlock, bidx,
-          static_cast<std::uint64_t>(c) << 32);
-    }
-    if (!more) maybe_finish_sending();
-    return;
-  }
-
+  // shard count or thread count. Draws come in blocks of kFreshBatch, one
+  // sweep timer per copy (see SendBlock); the next block is drawn at the
+  // last target's copy-0 send.
+  const std::uint32_t bidx = blocks_.acquire();
+  SendBlock& blk = blocks_[bidx];
+  blk.count = 0;
+  bool more = true;
   for (std::uint64_t b = 0; b < kFreshBatch; ++b) {
     if (!draw_fresh(target, raw_slot)) {
+      more = false;
       fresh_done_ = true;
-      maybe_finish_sending();
-      return;
+      break;
     }
-    const bool last = b == kFreshBatch - 1;
-    for (int c = 0; c < copies_; ++c) {
-      ++pending_sends_;
-      const sim::SimTime tc =
-          copy_time(raw_slot, static_cast<std::uint32_t>(c));
-      const bool rearm = last && c == 0;
-      network()->loop().schedule_at(tc, [this, target, c, rearm] {
-        send_copy(target, c);
-        if (rearm) schedule_fresh();
-      });
-    }
+    blk.targets[blk.count] = target;
+    blk.raw_slots[blk.count] = raw_slot;
+    ++blk.count;
+    pending_sends_ += static_cast<std::uint64_t>(copies_);
   }
+  if (blk.count == 0) {
+    blocks_.release(bidx);
+    maybe_finish_sending();
+    return;
+  }
+  blk.rearm = more;
+  blk.live_copies = static_cast<std::uint32_t>(copies_);
+  blk.seq_base = network()->loop().reserve_seqs(
+      static_cast<std::uint64_t>(blk.count) *
+      static_cast<std::uint64_t>(copies_));
+  for (int c = 0; c < copies_; ++c) {
+    const auto copy = static_cast<std::uint32_t>(c);
+    schedule_reserved_timer(copy_time(blk.raw_slots[0], copy),
+                            blk.seq_base + copy,
+                            make_tag(kTagSweep, bidx, copy));
+  }
+  if (!more) maybe_finish_sending();
 }
 
-void SimChannelScanner::on_block_event(void* ctx, sim::SimTime /*when*/,
-                                       std::uint64_t a, std::uint64_t b) {
-  auto* self = static_cast<SimChannelScanner*>(ctx);
-  self->run_block_copy(static_cast<std::uint32_t>(a),
-                       static_cast<std::uint32_t>(b >> 32),
-                       static_cast<std::uint32_t>(b & 0xffffffffu));
-}
-
-void SimChannelScanner::run_block_copy(std::uint32_t bidx, std::uint32_t copy,
-                                       std::uint32_t idx) {
+void SimChannelScanner::run_sweep(std::uint32_t bidx, std::uint32_t copy,
+                                  std::uint32_t idx) {
   sim::EventLoop& loop = network()->loop();
   const sim::SimTime horizon = loop.bulk_horizon();
+  // Exact order while a checkpoint hook (an order observer) or the network
+  // needs it; otherwise all stamps are analytic and the sweep runs free.
+  const bool exact = !network()->free_running();
   SendBlock& blk = blocks_[bidx];
-  // A checkpoint hook claims "every record below the cursor is in hand"
-  // at the instant it fires (at a block rearm), which only holds if the
-  // sweep never overtakes a queued delivery or response. With an order
-  // observer registered, cap every send at next_when() — exact global
-  // stamp order, the same schedule the per-event path runs. Without one,
-  // nothing observes processing order (all stamps are analytic), so the
-  // sweep runs free to the horizon and drains batch whole latency-windows
-  // of packets.
-  const bool strict_order = network()->order_observed();
-  while (idx < blk.count) {
-    const sim::SimTime tc = copy_time(blk.raw_slots[idx], copy);
-    if (tc > horizon || (strict_order && tc > loop.next_when())) {
-      // Park the rest of this sweep as a fresh event carrying the resume
-      // index.
-      loop.schedule_event(tc, sim::kEventScanBlock, bidx,
-                          (static_cast<std::uint64_t>(copy) << 32) | idx);
-      return;
-    }
-    // Every send is stamped with its analytic slot time, exactly as the
-    // per-copy closure would have been dispatched at.
+  const auto copies = static_cast<std::uint64_t>(copies_);
+  // The first item's key was the queue minimum, so it always goes. Every
+  // send is stamped with its analytic slot time.
+  sim::SimTime tc = copy_time(blk.raw_slots[idx], copy);
+  for (;;) {
     loop.set_time(tc);
     send_copy(blk.targets[idx], static_cast<int>(copy));
-    ++idx;
+    if (++idx == blk.count) break;
+    tc = copy_time(blk.raw_slots[idx], copy);
+    const std::uint64_t seq = blk.seq_base + idx * copies + copy;
+    if (tc > horizon || (exact && !loop.before_head(tc, seq))) {
+      schedule_reserved_timer(tc, seq, make_tag(kTagSweep, bidx, copy, idx));
+      return;
+    }
   }
-  // Sweep complete. Copy 0 of a full block re-arms the draw loop at the
-  // last target's copy-0 slot — the same stamp the strict path's rearm
-  // closure fires at — so checkpoint cursors and fresh_done_ timing are
-  // identical in both modes. Free before re-arming: schedule_fresh may
-  // grow blocks_, invalidating `blk`.
+  // Sweep complete. Copy 0 of a full block draws the next block at the
+  // last target's copy-0 slot, so checkpoint cursors and fresh_done_
+  // timing follow the send schedule alone. Free before re-arming:
+  // schedule_fresh may grow blocks_, invalidating `blk`.
   const bool rearm = blk.rearm && copy == 0;
-  if (--blk.live_copies == 0) block_free_.push_back(bidx);
+  if (--blk.live_copies == 0) blocks_.release(bidx);
   if (rearm) schedule_fresh();
 }
 

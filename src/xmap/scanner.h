@@ -151,8 +151,8 @@ class SimChannelScanner : public sim::Node {
     checkpoint_every_ = every_targets;
     checkpoint_hook_ = std::move(hook);
     // The hook's "every record below the cursor is in hand" claim
-    // observes processing order, not just stamps: pin the network's bulk
-    // trains to exact per-event interleaving.
+    // observes processing order, not just stamps: pin the network's
+    // trains to exact (when, seq) order.
     if (network() != nullptr && checkpoint_hook_ && checkpoint_every_ != 0) {
       network()->set_order_observed(true);
     }
@@ -194,10 +194,11 @@ class SimChannelScanner : public sim::Node {
   [[nodiscard]] ScanCursor stable_cursor() const;
 
   void receive(pkt::Bytes packet, int iface) override;
+  void on_timer(std::uint64_t tag) override;
 
   // The scanner never generates load-dependent behavior on its own: send
   // times are analytic slot functions and response handling is stateless in
-  // time, so it does not veto the network's bulk-delivery mode.
+  // time, so it does not veto the network's free-running trains.
   [[nodiscard]] bool time_sensitive() const override { return false; }
 
  private:
@@ -223,15 +224,23 @@ class SimChannelScanner : public sim::Node {
   void schedule_fresh();
   void send_copy(const net::Ipv6Address& target, int copy);
   void maybe_finish_sending();
-  // Bulk block path: one kEventScanBlock event walks a whole block's worth
-  // of copy-`copy` sends starting at target index `idx`, stamping each send
-  // with its analytic slot time via EventLoop::set_time. The run re-arms
-  // itself (same event kind, updated index) when it crosses the loop's bulk
-  // horizon.
-  void run_block_copy(std::uint32_t bidx, std::uint32_t copy,
-                      std::uint32_t idx);
-  static void on_block_event(void* ctx, sim::SimTime when, std::uint64_t a,
-                             std::uint64_t b);
+  // Sends a block's copy-`copy` sends from target `idx` on, each stamped
+  // with its slot time, under the train rule (see SendBlock).
+  void run_sweep(std::uint32_t bidx, std::uint32_t copy, std::uint32_t idx);
+
+  // Timer tags: the kind in the top two bits, then a 32-bit slot (block or
+  // pending target), a 22-bit copy and an 8-bit resume index.
+  static constexpr std::uint64_t kTagDraw = 0;
+  static constexpr std::uint64_t kTagSweep = std::uint64_t{1} << 62;
+  static constexpr std::uint64_t kTagAdaptive = std::uint64_t{2} << 62;
+  static constexpr std::uint64_t kTagKindMask = std::uint64_t{3} << 62;
+  static constexpr std::uint64_t make_tag(std::uint64_t kind,
+                                          std::uint64_t slot,
+                                          std::uint64_t copy,
+                                          std::uint64_t idx = 0) {
+    return kind | slot << 30 | copy << 8 | idx;
+  }
+  static_assert(kFreshBatch <= 256, "a tag's resume index has 8 bits");
   [[nodiscard]] sim::SimTime copy_time(std::uint64_t raw_slot,
                                        std::uint32_t copy) const {
     const std::uint64_t slot =
@@ -332,26 +341,29 @@ class SimChannelScanner : public sim::Node {
   std::uint64_t pending_sends_ = 0;  // copies scheduled but not yet fired
   sim::SimTime recv_deadline_ = ~sim::SimTime{0};
 
-  // Block-batched sending (bulk mode). A SendBlock holds one
-  // schedule_fresh() draw batch; each of its 1+retries copy sweeps is a
-  // single typed event instead of count*copies closures. Blocks live in a
-  // pool-backed slab recycled through a free list, so steady-state
-  // scanning allocates nothing. Decided lazily on the first
-  // schedule_fresh() (i.e. inside Network::run(), after all world setup):
-  // requires deterministic pacing, the template hot path, no scan-level
-  // tracing (trace insertion order would differ), and the network's bulk
-  // mode. Exactly one scanner may be actively sending per event loop —
-  // the block handler registration is latest-wins.
+  // Deterministic-pacing sends. A SendBlock holds one schedule_fresh()
+  // draw batch; each of its 1+retries copy sweeps is one timer. Send
+  // (b, c), target b copy c, owns seq seq_base + b*copies + c, reserved at
+  // the draw: the seq a per-send event would have taken, so a sweep obeys
+  // the network's train rule (exact order or free running). Blocks are
+  // recycled, so steady-state scanning allocates nothing.
   struct SendBlock {
     net::Ipv6Address targets[kFreshBatch];
     std::uint64_t raw_slots[kFreshBatch];
+    std::uint64_t seq_base = 0;
     std::uint32_t count = 0;
     std::uint32_t live_copies = 0;
     bool rearm = false;  // copy-0 completion draws the next block
   };
-  int use_blocks_ = -1;  // -1 undecided, else 0/1
-  net::PoolVector<SendBlock> blocks_;
-  net::PoolVector<std::uint32_t> block_free_;
+  net::PoolSlab<SendBlock> blocks_;
+
+  // adaptive_rate sends: one slot per drawn target until its last copy
+  // fires (send times are load-dependent, so there is no block to sweep).
+  struct PendingTarget {
+    net::Ipv6Address target;
+    std::uint32_t live_copies = 0;
+  };
+  net::PoolSlab<PendingTarget> pending_;
 
   // Probe provenance for slotted callbacks: addr-key -> raw slot of the
   // drawn target (populated only when a slotted callback is installed).

@@ -438,14 +438,16 @@ TEST(ScannerIntegration, FaultCountersUpholdTheAccountingInvariant) {
 }
 
 TEST(ScannerIntegration, BulkDeliveryMatchesPerPacketPath) {
-  // The bulk fast path (channel trains + block sweeps) must be a pure
-  // reordering of processing, never of results: over a fault-injected
-  // world (duplication + corruption forcing per-link strict fallback,
-  // silent windows pruning deliveries), the canonicalized record stream
-  // and the full accounting stats must match the per-packet path exactly.
-  // Also run with a checkpoint hook armed, which flips the network into
-  // strict (order-observed) bulk mode — same requirement.
-  auto run = [](bool bulk, bool hook) {
+  // Free-running trains (whole channel backlogs and block sweeps per
+  // dispatch) must be a pure reordering of processing, never of results:
+  // over a fault-injected world (duplication + corruption keeping those
+  // links in exact order, silent windows pruning deliveries), the
+  // canonicalized record stream and the full accounting stats must match
+  // the exact-order reference — every train stepping in per-packet
+  // (when, seq) order, as a declared order observer forces. Also run with
+  // a checkpoint hook armed, which declares that observer itself — same
+  // requirement. No run may schedule into the past.
+  auto run = [](bool exact, bool hook) {
     ScanWorld world{8};
     sim::FaultPlan plan;
     plan.access.duplicate = 0.3;
@@ -458,7 +460,7 @@ TEST(ScannerIntegration, BulkDeliveryMatchesPerPacketPath) {
       candidates.push_back(dev.node);
     }
     inj->choose_silent(candidates);
-    world.net.set_bulk_enabled(bulk);
+    world.net.set_order_observed(exact);
     IcmpEchoProbe probe{64};
     ScanConfig cfg;
     for (int i : {0, 5}) {
@@ -489,6 +491,7 @@ TEST(ScannerIntegration, BulkDeliveryMatchesPerPacketPath) {
     }
     scanner->start();
     world.net.run();
+    EXPECT_EQ(world.net.loop().clamped(), 0u);
     // Canonical order — downstream consumers (store, xmap_sim) sort
     // records before use, so arrival order is not part of the contract.
     std::sort(records.begin(), records.end());
@@ -502,10 +505,82 @@ TEST(ScannerIntegration, BulkDeliveryMatchesPerPacketPath) {
                       std::to_string(s.late));
     return records;
   };
-  const auto strict = run(/*bulk=*/false, /*hook=*/false);
+  const auto strict = run(/*exact=*/true, /*hook=*/false);
   ASSERT_GT(strict.size(), 40u);  // the fault world still yields records
-  EXPECT_EQ(run(/*bulk=*/true, /*hook=*/false), strict);
-  EXPECT_EQ(run(/*bulk=*/true, /*hook=*/true), strict);
+  EXPECT_EQ(run(/*exact=*/false, /*hook=*/false), strict);
+  EXPECT_EQ(run(/*exact=*/false, /*hook=*/true), strict);
+}
+
+TEST(ScannerIntegration, ConcurrentScannersOnOneNetworkEachSendEveryProbe) {
+  // Two scanners started together on one network — each at its own
+  // vantage, over its own ISP block — must each send and find exactly what
+  // it sends and finds alone: their sweep timers dispatch by node, so
+  // neither can run (or swallow) the other's probe blocks.
+  struct Vantage {
+    Ipv6Address source;
+    Ipv6Prefix prefix;
+    int isp;
+  };
+  const Vantage kA{kScannerAddr, kVantagePrefix, 0};
+  const Vantage kB{*Ipv6Address::parse("2001:501::1"),
+                   *Ipv6Prefix::parse("2001:501::/48"), 5};
+  struct Result {
+    std::uint64_t sent = 0;
+    std::vector<std::string> records;
+  };
+  IcmpEchoProbe probe{64};
+  const auto attach = [&probe](ScanWorld& world, const Vantage& v,
+                               Result& out) {
+    const auto& isp = world.internet.isps[static_cast<std::size_t>(v.isp)];
+    ScanConfig cfg;
+    cfg.targets.push_back(
+        TargetSpec{isp.scan_base, isp.window_lo, isp.window_hi});
+    cfg.source = v.source;
+    cfg.seed = 7;
+    cfg.probes_per_sec = 1e6;
+    auto* scanner = world.net.make_node<SimChannelScanner>(cfg, probe);
+    scanner->set_iface(
+        topo::attach_vantage(world.net, world.internet, scanner, v.prefix));
+    scanner->on_response([&out](const ProbeResponse& r, sim::SimTime when) {
+      out.records.push_back(std::to_string(when) + "|" +
+                            r.responder.to_string() + "|" +
+                            r.probe_dst.to_string() + "|" +
+                            std::to_string(static_cast<int>(r.kind)));
+    });
+    return scanner;
+  };
+  const auto alone = [&attach](const Vantage& v) {
+    ScanWorld world{8};
+    Result r;
+    SimChannelScanner* scanner = attach(world, v, r);
+    scanner->start();
+    world.net.run();
+    r.sent = scanner->stats().sent;
+    std::sort(r.records.begin(), r.records.end());
+    return r;
+  };
+  const Result solo_a = alone(kA);
+  const Result solo_b = alone(kB);
+  ASSERT_EQ(solo_a.sent, 256u);
+  ASSERT_EQ(solo_b.sent, 256u);
+  ASSERT_GT(solo_a.records.size(), 10u);
+  ASSERT_GT(solo_b.records.size(), 10u);
+
+  ScanWorld world{8};
+  Result a;
+  Result b;
+  SimChannelScanner* sa = attach(world, kA, a);
+  SimChannelScanner* sb = attach(world, kB, b);
+  sa->start();
+  sb->start();
+  world.net.run();
+  std::sort(a.records.begin(), a.records.end());
+  std::sort(b.records.begin(), b.records.end());
+  EXPECT_EQ(sa->stats().sent, solo_a.sent);
+  EXPECT_EQ(sb->stats().sent, solo_b.sent);
+  EXPECT_EQ(a.records, solo_a.records);
+  EXPECT_EQ(b.records, solo_b.records);
+  EXPECT_EQ(world.net.loop().clamped(), 0u);
 }
 
 TEST(ScannerIntegration, SecondScanOnOneNetworkSendsFromItsStart) {
