@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <tuple>
 
 #include "engine/bounded_queue.h"
 #include "netbase/pool.h"
@@ -26,22 +25,6 @@ EngineResult fail(std::string message) {
 // the queue's backpressure bound (queue_capacity defaults to 4096), large
 // enough to amortize the queue mutex to noise.
 constexpr std::size_t kRecordFlushThreshold = 256;
-
-// Default targets (every block of the world). Window placement is a pure
-// function of the spec, so this costs nothing — no throwaway world build on
-// the main thread (which would be a serial prefix as long as one worker's
-// whole replica build).
-std::vector<scan::TargetSpec> default_targets(const EngineConfig& config) {
-  std::vector<scan::TargetSpec> targets;
-  targets.reserve(config.world_specs.size());
-  for (const auto& spec : config.world_specs) {
-    const topo::ScanWindow window =
-        topo::scan_window(spec, config.build.window_bits);
-    targets.push_back(scan::TargetSpec{window.scan_base, window.window_lo,
-                                       window.window_hi});
-  }
-  return targets;
-}
 
 std::uint64_t expected_targets(const std::vector<scan::TargetSpec>& targets,
                                int machine_shards) {
@@ -69,23 +52,10 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
   const auto wall_start = std::chrono::steady_clock::now();
   const int threads = config.threads;
 
-  scan::ScanConfig base = config.scan;
-  if (base.targets.empty()) base.targets = default_targets(config);
+  scan::ScanConfig base = scan::prepare_bulk_scan(
+      config.scan, config.world_specs, config.build.window_bits);
   base.shutdown_flag = config.shutdown_flag;
   base.shutdown_at_raw_slot = config.shutdown_at_raw_slot;
-  // Every worker reads the blocklist; build its index before they start.
-  if (base.blocklist != nullptr) base.blocklist->compile();
-  if (base.max_probes != 0) {
-    // Global target budget as a slot cut, computed once on the machine
-    // shard's walk and shared by every worker: each worker stops at the
-    // same permutation index regardless of --threads, so a capped scan is
-    // byte-identical at any thread count (per-worker budget shares were
-    // not).
-    base.budget_cut_raw_slot =
-        scan::compute_budget_cut(base.targets, base.seed, base.blocklist,
-                                 base.max_probes, base.shard, base.shards);
-    base.max_probes = 0;  // fully encoded in the cut; don't recompute
-  }
 
   scan::ScanProgress progress;
   MonitorOptions monitor_options;
@@ -96,7 +66,7 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
   monitor_options.workers = threads;
   Monitor monitor{progress, monitor_options};
 
-  BoundedQueue<EngineRecord> queue{config.queue_capacity};
+  BoundedQueue<scan::ScanRecord> queue{config.queue_capacity};
   std::vector<WorkerReport> reports(static_cast<std::size_t>(threads));
   std::atomic<int> active{threads};
 
@@ -137,9 +107,7 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
     obs::StageProfile* profile =
         config.obs.profile ? &profiles[static_cast<std::size_t>(w)] : nullptr;
 
-    scan::ScanConfig wcfg = base;
-    wcfg.shard = config.scan.shard * threads + w;
-    wcfg.shards = config.scan.shards * threads;
+    scan::ScanConfig wcfg = scan::sub_shard(base, w, threads);
     if (config.resume != nullptr &&
         static_cast<std::size_t>(w) < config.resume->cursors.size()) {
       wcfg.resume_spec_steps = config.resume->cursors[w].spec_steps;
@@ -161,7 +129,7 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
     // Flush points are load-bearing, not just periodic: a published cursor
     // claims every record below it has already reached the collector, so
     // the buffer MUST drain before each publication (and after the run).
-    std::vector<EngineRecord> local_records;
+    std::vector<scan::ScanRecord> local_records;
     local_records.reserve(kRecordFlushThreshold);
     const auto flush_records = [&queue, &local_records] {
       if (local_records.empty()) return;
@@ -172,7 +140,7 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
         [&local_records, &flush_records, w](const scan::ProbeResponse& r,
                                             sim::SimTime when,
                                             std::uint64_t raw_slot) {
-          local_records.push_back(EngineRecord{r, when, w, raw_slot});
+          local_records.push_back(scan::ScanRecord{r, when, w, raw_slot});
           if (local_records.size() >= kRecordFlushThreshold) flush_records();
         });
     if (periodic_checkpoints) {
@@ -267,11 +235,7 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
     // the deterministic content sort below interleaves them with this
     // run's exactly as an uninterrupted run would have produced them.
     result.resumed = true;
-    result.records.reserve(config.resume->records.size());
-    for (const auto& r : config.resume->records) {
-      result.records.push_back(
-          EngineRecord{r.response, r.when, r.worker, r.raw_slot});
-    }
+    result.records = config.resume->records;
   }
   std::size_t queue_peak = 0;
   if (!periodic_checkpoints) {
@@ -317,18 +281,13 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
       state.signal = 0;
       state.stats = progress.snapshot();
       if (config.resume != nullptr) state.stats += config.resume->stats;
-      for (const auto& cursor : cursors) {
-        state.cursors.push_back(
-            recover::WorkerCursor{cursor.spec_steps, cursor.frontier_slot});
-      }
       for (const auto& rec : result.records) {
-        const auto uw = static_cast<std::size_t>(rec.worker);
-        if (uw < cursors.size() &&
-            rec.raw_slot < cursors[uw].frontier_slot) {
-          state.records.push_back(recover::CheckpointRecord{
-              rec.response, rec.when, rec.worker, rec.raw_slot});
+        const auto w = static_cast<std::size_t>(rec.shard);
+        if (w < cursors.size() && rec.raw_slot < cursors[w].frontier_slot) {
+          state.records.push_back(rec);
         }
       }
+      state.cursors = std::move(cursors);
       config.checkpoint_sink(state);
     };
     // Check the epoch on every iteration, not just on queue timeouts: a
@@ -356,25 +315,11 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
   monitor.stop();
 
   {
-    // Deterministic merge order: worker sim clocks are deterministic, so a
-    // content sort by (sim time, responder, probe, kind) yields a
-    // byte-stable record stream regardless of real-time interleaving. The
-    // worker index is only the final tiebreak — putting it before the
-    // content fields would order same-time records by sharding and break
-    // byte-identity across --threads values.
+    // Deterministic merge order (scan::sort_records): byte-stable regardless
+    // of real-time interleaving and of --threads.
     obs::ScopedStageTimer merge_timer{
         config.obs.profile ? &main_profile : nullptr, obs::Stage::kMerge};
-    std::sort(result.records.begin(), result.records.end(),
-              [](const EngineRecord& a, const EngineRecord& b) {
-                return std::tuple(a.when, a.response.responder,
-                                  a.response.probe_dst,
-                                  static_cast<int>(a.response.kind),
-                                  a.worker) <
-                       std::tuple(b.when, b.response.responder,
-                                  b.response.probe_dst,
-                                  static_cast<int>(b.response.kind),
-                                  b.worker);
-              });
+    scan::sort_records(result.records);
     for (const auto& record : result.records) {
       result.collector.add(record.response);
     }
@@ -446,6 +391,20 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
   }
   result.ok = true;
   return result;
+}
+
+recover::CheckpointState shutdown_checkpoint(const EngineResult& result,
+                                             int signal) {
+  recover::CheckpointState state;
+  state.quiescent = true;
+  state.signal = signal;
+  state.stats = result.stats;
+  state.cursors = result.cursors;
+  state.records = result.records;
+  state.has_obs = true;
+  state.trace = result.trace;
+  state.metrics = result.metrics_snapshot;
+  return state;
 }
 
 }  // namespace xmap::engine

@@ -104,17 +104,6 @@ struct EngineConfig {
 
 inline constexpr int kMaxWorkers = 64;
 
-// One validated response as it crossed the queue. `when` is the worker's
-// sim-clock arrival time (deterministic per worker); `raw_slot` is the
-// global permutation slot of the probe that elicited it (checkpoint
-// provenance).
-struct EngineRecord {
-  scan::ProbeResponse response;
-  sim::SimTime when = 0;
-  int worker = 0;
-  std::uint64_t raw_slot = 0;
-};
-
 struct WorkerReport {
   scan::ScanStats stats;
   sim::SimTime sim_duration = 0;  // worker's final sim-clock reading
@@ -132,9 +121,10 @@ struct EngineResult {
   bool ok = false;
   std::string error;  // set when !ok (bad config)
 
-  // All validated responses, deterministically ordered (worker sim time,
-  // then worker id, then responder/probe) — byte-stable across runs.
-  std::vector<EngineRecord> records;
+  // All validated responses in the deterministic content order
+  // (scan::sort_records; `shard` is the worker index) — byte-stable across
+  // runs and --threads values.
+  std::vector<scan::ScanRecord> records;
 
   scan::ResultCollector collector;  // merged union of all workers
   scan::ScanStats stats;            // per-worker stats, summed
@@ -165,5 +155,12 @@ struct EngineResult {
 // Runs the scan across config.threads workers and blocks until every
 // worker finished and results are merged.
 [[nodiscard]] EngineResult run_parallel_scan(const EngineConfig& config);
+
+// The quiescent checkpoint of an interrupted run (`signal` is the one that
+// stopped it, 0 for the deterministic test hook): every drawn lifecycle
+// drained, so records, trace and metrics snapshot the scan exactly. The
+// caller stamps the fingerprint.
+[[nodiscard]] recover::CheckpointState shutdown_checkpoint(
+    const EngineResult& result, int signal);
 
 }  // namespace xmap::engine

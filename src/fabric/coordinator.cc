@@ -5,13 +5,14 @@
 #include <cstdio>
 #include <memory>
 #include <thread>
-#include <tuple>
 
 #include "fabric/obs_tap.h"
 #include "fabric/tcp_transport.h"
 #include "fabric/transport.h"
 #include "fabric/worker.h"
 #include "netbase/random.h"
+#include "netbase/uint128.h"
+#include "xmap/replica.h"
 
 namespace xmap::fabric {
 namespace {
@@ -23,27 +24,6 @@ FabricResult fail(std::string message) {
   result.ok = false;
   result.error = std::move(message);
   return result;
-}
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-// Default targets (every block of the world) — the engine's recipe: window
-// placement is a pure function of the spec, no throwaway world build.
-std::vector<scan::TargetSpec> default_targets(const FabricConfig& config) {
-  std::vector<scan::TargetSpec> targets;
-  targets.reserve(config.world_specs.size());
-  for (const auto& spec : config.world_specs) {
-    const topo::ScanWindow window =
-        topo::scan_window(spec, config.build.window_bits);
-    targets.push_back(scan::TargetSpec{window.scan_base, window.window_lo,
-                                       window.window_hi});
-  }
-  return targets;
 }
 
 enum class WorkerPhase { kJoining, kIdle, kBusy, kDead };
@@ -68,9 +48,9 @@ struct ShardState {
   bool has_cursor = false;
   scan::ScanCursor cursor;
   scan::ScanStats cursor_stats;
-  scan::ScanStats stats;               // committed contributions
-  std::vector<FabricRecord> buffer;    // current epoch, uncommitted
-  std::vector<FabricRecord> accepted;  // committed (survives failover)
+  scan::ScanStats stats;                   // committed contributions
+  std::vector<scan::ScanRecord> buffer;    // current epoch, uncommitted
+  std::vector<scan::ScanRecord> accepted;  // committed (survives failover)
   ShardOutcome outcome;
 
   // Deployment spans: the whole-shard span and the current epoch's lease.
@@ -127,23 +107,15 @@ FabricResult run_fabric_scan(const FabricConfig& config) {
 
   const auto wall_start = std::chrono::steady_clock::now();
 
-  scan::ScanConfig base = config.scan;
-  if (base.targets.empty()) base.targets = default_targets(config);
+  // One budget cut, computed here and shipped in every lease: all workers
+  // truncate at the same permutation slot regardless of node count (the
+  // engine's --threads argument, distributed).
+  scan::ScanConfig base = scan::prepare_bulk_scan(
+      config.scan, config.world_specs, config.build.window_bits);
   // The fabric owns interruption semantics (kills, failover); engine-style
   // shutdown plumbing does not cross the wire.
   base.shutdown_flag = nullptr;
   base.shutdown_at_raw_slot = scan::kNoBudgetCut;
-  // Every worker reads the blocklist; build its index before they start.
-  if (base.blocklist != nullptr) base.blocklist->compile();
-  if (base.max_probes != 0) {
-    // One budget cut, computed here and shipped in every lease: all
-    // workers truncate at the same permutation slot regardless of node
-    // count (the engine's --threads argument, distributed).
-    base.budget_cut_raw_slot =
-        scan::compute_budget_cut(base.targets, base.seed, base.blocklist,
-                                 base.max_probes, base.shard, base.shards);
-    base.max_probes = 0;
-  }
   const std::uint64_t fp_hash = recover::fingerprint_hash(config.fingerprint);
 
   // Deployment tracing: one tracer shared by the coordinator and every
@@ -527,8 +499,8 @@ FabricResult run_fabric_scan(const FabricConfig& config) {
     }
     if (msg.fingerprint != fp_hash) {
       const std::string diagnostic =
-          "scan fingerprint mismatch (stored " + hex_u64(msg.fingerprint) +
-          ", computed " + hex_u64(fp_hash) +
+          "scan fingerprint mismatch (stored " + net::hex64(msg.fingerprint) +
+          ", computed " + net::hex64(fp_hash) +
           ") — refusing a link from a different scan";
       refuse_rejoin(w, diagnostic);
       fail_worker(w, "rejoin refused: " + diagnostic);
@@ -604,7 +576,7 @@ FabricResult run_fabric_scan(const FabricConfig& config) {
         if (ShardState* ss = fenced(w, msg)) {
           ss->buffer.reserve(ss->buffer.size() + msg.records.size());
           for (const auto& rec : msg.records) {
-            ss->buffer.push_back(FabricRecord{
+            ss->buffer.push_back(scan::ScanRecord{
                 rec.response, rec.when, static_cast<int>(msg.shard),
                 rec.raw_slot});
           }
@@ -905,15 +877,7 @@ FabricResult run_fabric_scan(const FabricConfig& config) {
       result.stats += ss.stats;
       result.shards.push_back(ss.outcome);
     }
-    std::sort(result.records.begin(), result.records.end(),
-              [](const FabricRecord& a, const FabricRecord& b) {
-                return std::tuple(a.when, a.response.responder,
-                                  a.response.probe_dst,
-                                  static_cast<int>(a.response.kind), a.shard) <
-                       std::tuple(b.when, b.response.responder,
-                                  b.response.probe_dst,
-                                  static_cast<int>(b.response.kind), b.shard);
-              });
+    scan::sort_records(result.records);
     for (const auto& rec : result.records) {
       result.collector.add(rec.response);
     }

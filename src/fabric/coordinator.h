@@ -146,15 +146,6 @@ struct FabricConfig {
   int timeline_interval_ms = 50;
 };
 
-// One merged record. `shard` is the fabric shard that produced it — the
-// sort tiebreak, equal for any node count by construction.
-struct FabricRecord {
-  scan::ProbeResponse response;
-  sim::SimTime when = 0;
-  int shard = 0;
-  std::uint64_t raw_slot = 0;
-};
-
 struct ShardOutcome {
   int shard = 0;
   bool completed = false;
@@ -171,9 +162,10 @@ struct FabricResult {
   bool failed = false;
 
   // All validated responses in the deterministic content order
-  // (when, responder, probe_dst, kind, shard) — byte-stable across runs,
-  // node counts, and failovers.
-  std::vector<FabricRecord> records;
+  // (scan::sort_records; `shard` is the fabric shard that produced the
+  // record) — byte-stable across runs, node counts, and failovers, and
+  // equal to run_parallel_scan's records at `shards` threads.
+  std::vector<scan::ScanRecord> records;
   scan::ResultCollector collector;
   // Summed per-shard stats. Exact for failover-free runs; after a failover
   // the dead epoch contributes its last checkpoint's live stats, which

@@ -2,22 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "netbase/random.h"
+#include "netbase/uint128.h"
 #include "xmap/replica.h"
 
 namespace xmap::fabric {
 namespace {
 
 using Clock = ReliableLink::Clock;
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 BackoffPolicy worker_policy(const WorkerConfig& config) {
   // Decorrelate this worker's retransmission jitter from every other
@@ -216,8 +209,9 @@ void FabricWorker::handle_assign(const Message& assign) {
   if (assign.fingerprint != config_.fingerprint) {
     refuse_with(
         "shard " + std::to_string(assign.shard) +
-        ": scan fingerprint mismatch (stored " + hex_u64(assign.fingerprint) +
-        ", computed " + hex_u64(config_.fingerprint) +
+        ": scan fingerprint mismatch (stored " +
+        net::hex64(assign.fingerprint) + ", computed " +
+        net::hex64(config_.fingerprint) +
         ") — refusing a checkpoint handoff from a different scan");
     return;
   }
@@ -244,11 +238,9 @@ void FabricWorker::run_shard(const Message& assign) {
   // death; held until the shard completes, so a crash leaves the stale
   // lease in place for the coordinator to fence.
   transport_->note_lease(assign.shard, assign.epoch, true);
-  scan::ScanConfig wcfg = config_.base;
-  wcfg.shard = config_.base.shard * static_cast<int>(assign.shards_total) +
-               static_cast<int>(assign.shard);
-  wcfg.shards =
-      config_.base.shards * static_cast<int>(assign.shards_total);
+  scan::ScanConfig wcfg =
+      scan::sub_shard(config_.base, static_cast<int>(assign.shard),
+                      static_cast<int>(assign.shards_total));
   wcfg.budget_cut_raw_slot = assign.budget_cut;
   wcfg.max_probes = 0;  // fully encoded in the cut by the coordinator
   // With observability on, a resume replays the whole shard in the local

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 
 namespace xmap::net {
 
@@ -95,6 +96,13 @@ std::optional<Uint128> Uint128::from_hex(std::string_view hex) {
     v = (v << 4) | Uint128{static_cast<std::uint64_t>(digit)};
   }
   return v;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
 }
 
 }  // namespace xmap::net

@@ -203,4 +203,8 @@ constexpr Uint128::DivMod Uint128::divmod(Uint128 num, Uint128 den) {
 constexpr Uint128& Uint128::operator/=(Uint128 b) { return *this = *this / b; }
 constexpr Uint128& Uint128::operator%=(Uint128 b) { return *this = *this % b; }
 
+// A 64-bit hash or checksum as "0x" plus 16 lowercase hex digits: the
+// fixed-width form every "stored …, computed …" diagnostic prints.
+[[nodiscard]] std::string hex64(std::uint64_t v);
+
 }  // namespace xmap::net

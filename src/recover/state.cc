@@ -318,7 +318,7 @@ std::string serialize_checkpoint(const CheckpointState& state) {
         << record.response.probe_dst.to_string() << " "
         << static_cast<unsigned>(record.response.icmp_code) << " "
         << static_cast<unsigned>(record.response.hop_limit) << " "
-        << record.when << " " << record.worker << " " << record.raw_slot
+        << record.when << " " << record.shard << " " << record.raw_slot
         << "\n";
   }
 
@@ -509,7 +509,7 @@ ParseResult parse_checkpoint(const std::string& text) {
     return result;
   }
   for (std::uint64_t i = 0; i < count; ++i) {
-    WorkerCursor cursor;
+    scan::ScanCursor cursor;
     std::uint64_t nspecs = 0;
     if (!expect_line("cursor", ls) || !read_u64(ls, cursor.frontier_slot) ||
         !read_u64(ls, nspecs)) {
@@ -536,7 +536,7 @@ ParseResult parse_checkpoint(const std::string& text) {
   }
   state.records.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    CheckpointRecord record;
+    scan::ScanRecord record;
     int kind = 0;
     int icmp_code = 0;
     int hop_limit = 0;
@@ -544,7 +544,7 @@ ParseResult parse_checkpoint(const std::string& text) {
         !read_addr(ls, record.response.responder) ||
         !read_addr(ls, record.response.probe_dst) ||
         !read_int(ls, icmp_code) || !read_int(ls, hop_limit) ||
-        !read_u64(ls, record.when) || !read_int(ls, record.worker) ||
+        !read_u64(ls, record.when) || !read_int(ls, record.shard) ||
         !read_u64(ls, record.raw_slot)) {
       rd.fail("bad record");
       result.error = rd.error;

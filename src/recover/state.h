@@ -28,6 +28,7 @@
 #include "sim/faults.h"
 #include "xmap/blocklist.h"
 #include "xmap/probe_module.h"
+#include "xmap/results.h"
 #include "xmap/stats.h"
 #include "xmap/target_spec.h"
 
@@ -76,23 +77,6 @@ struct Fingerprint {
 // scan configuration with a "stored …, computed …" diagnostic.
 [[nodiscard]] std::uint64_t fingerprint_hash(const Fingerprint&);
 
-// One worker's permutation position: shard-local raw-cycle steps consumed
-// per target spec (the fast-forward argument), plus the global raw slot of
-// the first target the resumed worker will draw (used to filter records in
-// non-quiescent checkpoints; informational otherwise).
-struct WorkerCursor {
-  std::vector<std::uint64_t> spec_steps;
-  std::uint64_t frontier_slot = 0;
-};
-
-// One collected response, as the resumed process must re-emit it.
-struct CheckpointRecord {
-  scan::ProbeResponse response;
-  std::uint64_t when = 0;  // sim-clock arrival (sim::SimTime)
-  int worker = 0;
-  std::uint64_t raw_slot = 0;  // slot of the probe that elicited it
-};
-
 struct CheckpointState {
   int version = kCheckpointVersion;
   // A quiescent checkpoint was taken after a graceful drain: every drawn
@@ -105,8 +89,8 @@ struct CheckpointState {
   int signal = 0;  // the signal that triggered it (0 = none/periodic)
   Fingerprint fingerprint;
   scan::ScanStats stats;  // merged over workers, cumulative across resumes
-  std::vector<WorkerCursor> cursors;  // one per worker (size == threads)
-  std::vector<CheckpointRecord> records;
+  std::vector<scan::ScanCursor> cursors;  // one per worker (== threads)
+  std::vector<scan::ScanRecord> records;
   bool has_obs = false;  // trace/metrics sections present (quiescent only)
   std::vector<obs::TraceEvent> trace;
   obs::MetricsSnapshot metrics;

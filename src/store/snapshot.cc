@@ -7,22 +7,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
+#include "netbase/uint128.h"
+
 namespace xmap::store {
-
-namespace {
-
-[[nodiscard]] std::string hex64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-}  // namespace
 
 Snapshot::~Snapshot() {
   if (map_ != nullptr) ::munmap(map_, size_);
@@ -124,8 +114,8 @@ std::string Snapshot::validate_and_index() {
   }
   const std::uint64_t computed_hash = fnv1a(data_, size_ - kTrailerBytes);
   if (computed_hash != stored_hash) {
-    return "whole-file checksum mismatch: stored " + hex64(stored_hash) +
-           ", computed " + hex64(computed_hash) + " (corrupted store)";
+    return "whole-file checksum mismatch: stored " + net::hex64(stored_hash) +
+           ", computed " + net::hex64(computed_hash) + " (corrupted store)";
   }
 
   // Section offsets must tile [header, trailer) in order.
@@ -157,7 +147,7 @@ std::string Snapshot::validate_and_index() {
     const std::uint64_t sum = fnv1a(block, header_.block_bytes);
     if (sum != info.checksum) {
       return "block " + std::to_string(b) + " checksum mismatch: stored " +
-             hex64(info.checksum) + ", computed " + hex64(sum) +
+             net::hex64(info.checksum) + ", computed " + net::hex64(sum) +
              " (corrupted store)";
     }
     if (!index_.empty() && !(index_.back().first_key < info.first_key)) {

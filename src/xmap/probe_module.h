@@ -48,6 +48,8 @@ struct ProbeResponse {
   net::Ipv6Address probe_dst;  // the original probed address (recovered)
   std::uint8_t icmp_code = 0;  // for ICMPv6 errors
   std::uint8_t hop_limit = 0;  // received hop limit (distance signal)
+
+  friend bool operator==(const ProbeResponse&, const ProbeResponse&) = default;
 };
 
 // A worker-cached probe frame: built once per scan via make_template(),

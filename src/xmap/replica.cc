@@ -16,6 +16,34 @@ void install_world_faults(sim::Network& net,
   injector->choose_silent(candidates);
 }
 
+ScanConfig prepare_bulk_scan(ScanConfig scan,
+                             const std::vector<topo::IspSpec>& specs,
+                             int window_bits) {
+  if (scan.targets.empty()) {
+    scan.targets.reserve(specs.size());
+    for (const auto& spec : specs) {
+      const topo::ScanWindow window = topo::scan_window(spec, window_bits);
+      scan.targets.push_back(
+          TargetSpec{window.scan_base, window.window_lo, window.window_hi});
+    }
+  }
+  if (scan.blocklist != nullptr) scan.blocklist->compile();
+  if (scan.max_probes != 0) {
+    scan.budget_cut_raw_slot =
+        compute_budget_cut(scan.targets, scan.seed, scan.blocklist,
+                           scan.max_probes, scan.shard, scan.shards);
+    scan.max_probes = 0;  // fully encoded in the cut; don't recompute
+  }
+  return scan;
+}
+
+ScanConfig sub_shard(const ScanConfig& base, int index, int count) {
+  ScanConfig sub = base;
+  sub.shard = base.shard * count + index;
+  sub.shards = base.shards * count;
+  return sub;
+}
+
 ScanReplica::ScanReplica(const ReplicaWorld& world, const ScanConfig& scan,
                          const ProbeModule& module, const obs::ObsConfig& obs,
                          obs::TraceBuffer* trace, obs::MetricsShard* metrics,

@@ -24,6 +24,24 @@ void install_world_faults(sim::Network& net,
                           const topo::BuiltInternet& internet,
                           const sim::FaultPlan& plan);
 
+// The bulk-scan preparation every executor runs once on the machine
+// shard's config, before any replica starts: empty `targets` become every
+// block of the world (window placement is a pure function of the spec, so
+// no throwaway world build), the blocklist index is compiled (every
+// replica reads it), and `max_probes` becomes one budget cut at a fixed
+// permutation slot, so a capped scan is byte-identical however the machine
+// shard is subdivided.
+[[nodiscard]] ScanConfig prepare_bulk_scan(
+    ScanConfig scan, const std::vector<topo::IspSpec>& specs,
+    int window_bits);
+
+// Sub-shard `index` of `count` under the machine shard of `base`: shard
+// (base.shard * count + index) of (base.shards * count). Engine worker w
+// and fabric shard s both come from here, so a fabric of S shards scans
+// exactly what an engine of S threads does.
+[[nodiscard]] ScanConfig sub_shard(const ScanConfig& base, int index,
+                                   int count);
+
 // What a replica is built from; every field is borrowed for the
 // constructor call only.
 struct ReplicaWorld {

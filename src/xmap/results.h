@@ -1,4 +1,9 @@
-// Scan result aggregation.
+// Scan results: what a bulk scan produces, and their aggregation.
+//
+// Every bulk executor (the parallel engine, the fabric, and a checkpoint
+// that carries an interrupted scan) speaks one data model: a ScanRecord
+// per validated response, a ScanCursor per permutation sub-shard, and one
+// deterministic content order over the records (sort_records).
 //
 // The paper reports *unique, non-aliased last hops*: responses are deduped
 // by responder address, and responders that answer for an implausible
@@ -6,13 +11,57 @@
 // block, aliased space) are flagged and excluded from periphery statistics.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/event_loop.h"
 #include "xmap/probe_module.h"
 
 namespace xmap::scan {
+
+// A sub-shard's resumable permutation position. spec_steps[i] is the
+// number of shard-local raw-cycle steps consumed from target spec i's
+// iterator; frontier_slot is the global raw slot of the next target the
+// sub-shard would draw (every slot below it that belongs to the sub-shard
+// has been fully handled or is covered by the checkpoint's record set).
+struct ScanCursor {
+  std::vector<std::uint64_t> spec_steps;
+  std::uint64_t frontier_slot = 0;
+};
+
+// One validated response. `when` is its sim-clock arrival on the replica
+// that saw it; `shard` is the permutation sub-shard that produced it (the
+// engine's worker index, the fabric's shard index — the same sub-shard
+// when equal); `raw_slot` is the global permutation slot of the probe that
+// elicited it (checkpoint and failover provenance).
+struct ScanRecord {
+  ProbeResponse response;
+  sim::SimTime when = 0;
+  int shard = 0;
+  std::uint64_t raw_slot = 0;
+
+  friend bool operator==(const ScanRecord&, const ScanRecord&) = default;
+};
+
+// The deterministic content order every merge uses: (sim time, responder,
+// probe, kind), then the sub-shard as the final tiebreak. Sim clocks are
+// deterministic, so the order is byte-stable across runs; the shard comes
+// last so same-time records never sort by sharding, which would break
+// byte-identity across --threads values, node counts and resumes.
+inline void sort_records(std::vector<ScanRecord>& records) {
+  std::sort(records.begin(), records.end(),
+            [](const ScanRecord& a, const ScanRecord& b) {
+              return std::tuple(a.when, a.response.responder,
+                                a.response.probe_dst,
+                                static_cast<int>(a.response.kind), a.shard) <
+                     std::tuple(b.when, b.response.responder,
+                                b.response.probe_dst,
+                                static_cast<int>(b.response.kind), b.shard);
+            });
+}
 
 struct LastHop {
   net::Ipv6Address address;

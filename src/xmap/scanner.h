@@ -28,6 +28,7 @@
 #include "xmap/blocklist.h"
 #include "xmap/cyclic_group.h"
 #include "xmap/probe_module.h"
+#include "xmap/results.h"
 #include "xmap/stats.h"
 #include "xmap/target_spec.h"
 
@@ -86,16 +87,6 @@ struct ScanConfig {
   // Send times become load-dependent, so this intentionally trades the
   // cross-thread-count byte-identical guarantee for resilience.
   bool adaptive_rate = false;
-};
-
-// A worker's resumable permutation position. spec_steps[i] is the number
-// of shard-local raw-cycle steps consumed from target spec i's iterator;
-// frontier_slot is the global raw slot of the next target this worker
-// would draw (every slot below it that belongs to this worker has been
-// fully handled or is covered by the checkpoint's record set).
-struct ScanCursor {
-  std::vector<std::uint64_t> spec_steps;
-  std::uint64_t frontier_slot = 0;
 };
 
 // Computes the slot-deterministic budget cut for `max_targets`: walks the

@@ -142,7 +142,7 @@ std::string records_fingerprint(const EngineResult& result) {
   for (const auto& record : result.records) {
     out << record.response.responder.to_string() << '|'
         << record.response.probe_dst.to_string() << '|' << record.when << '|'
-        << record.worker << '\n';
+        << record.shard << '\n';
   }
   return out.str();
 }
@@ -296,7 +296,7 @@ TEST(ParallelExecutor, FaultsPreserveThreadCountDeterminism) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     auto result = faulted(threads);
     ASSERT_TRUE(result.ok) << result.error;
-    // record.worker differs by construction; compare response streams.
+    // record.shard differs by construction; compare response streams.
     std::ostringstream a, b;
     for (const auto& r : reference.records) {
       a << r.response.responder.to_string() << '|'

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "engine/executor.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "recover/state.h"
 #include "topology/paper_profiles.h"
 #include "xmap/cyclic_group.h"
@@ -62,6 +64,12 @@ std::string stream_fingerprint(const EngineResult& result) {
   return out.str();
 }
 
+std::string trace_jsonl(const std::vector<obs::TraceEvent>& trace) {
+  std::ostringstream out;
+  obs::write_trace_jsonl(out, trace);
+  return out.str();
+}
+
 // Interrupt the scan at `slot`, then resume from the quiescent shutdown
 // checkpoint; returns the resumed (combined) result.
 EngineResult interrupt_and_resume(const EngineConfig& base,
@@ -74,17 +82,8 @@ EngineResult interrupt_and_resume(const EngineConfig& base,
   EXPECT_EQ(interrupted.cursors.size(),
             static_cast<std::size_t>(base.threads));
 
-  recover::CheckpointState state;
-  state.quiescent = true;
-  state.stats = interrupted.stats;
-  for (const auto& cursor : interrupted.cursors) {
-    state.cursors.push_back(
-        recover::WorkerCursor{cursor.spec_steps, cursor.frontier_slot});
-  }
-  for (const auto& r : interrupted.records) {
-    state.records.push_back(
-        recover::CheckpointRecord{r.response, r.when, r.worker, r.raw_slot});
-  }
+  const recover::CheckpointState state =
+      shutdown_checkpoint(interrupted, /*signal=*/0);
   // Round-trip through the text format so the test also covers what a real
   // resume reads off disk.
   auto parsed =
@@ -178,17 +177,8 @@ TEST(Resume, SurvivesChainedInterrupts) {
   auto first = run_parallel_scan(first_cut);
   ASSERT_TRUE(first.ok && first.interrupted);
 
-  recover::CheckpointState state1;
-  state1.quiescent = true;
-  state1.stats = first.stats;
-  for (const auto& c : first.cursors) {
-    state1.cursors.push_back(
-        recover::WorkerCursor{c.spec_steps, c.frontier_slot});
-  }
-  for (const auto& r : first.records) {
-    state1.records.push_back(
-        recover::CheckpointRecord{r.response, r.when, r.worker, r.raw_slot});
-  }
+  const recover::CheckpointState state1 =
+      shutdown_checkpoint(first, /*signal=*/0);
 
   EngineConfig second_cut = base;
   second_cut.resume = &state1;
@@ -196,17 +186,8 @@ TEST(Resume, SurvivesChainedInterrupts) {
   auto second = run_parallel_scan(second_cut);
   ASSERT_TRUE(second.ok && second.interrupted && second.resumed);
 
-  recover::CheckpointState state2;
-  state2.quiescent = true;
-  state2.stats = second.stats;
-  for (const auto& c : second.cursors) {
-    state2.cursors.push_back(
-        recover::WorkerCursor{c.spec_steps, c.frontier_slot});
-  }
-  for (const auto& r : second.records) {
-    state2.records.push_back(
-        recover::CheckpointRecord{r.response, r.when, r.worker, r.raw_slot});
-  }
+  const recover::CheckpointState state2 =
+      shutdown_checkpoint(second, /*signal=*/0);
 
   EngineConfig final_leg = base;
   final_leg.resume = &state2;
@@ -214,6 +195,47 @@ TEST(Resume, SurvivesChainedInterrupts) {
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(stream_fingerprint(result), stream_fingerprint(golden));
   EXPECT_EQ(result.stats, golden.stats);
+}
+
+// The production shutdown checkpoint carries the obs sections: a scan with
+// packet-level tracing and metrics, interrupted, written and read back as
+// text, and resumed, ends with the trace and Prometheus export of an
+// uninterrupted run — records, trace events and metric series all merge.
+TEST(Resume, QuiescentCheckpointCarriesTraceAndMetrics) {
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EngineConfig base = make_config(threads, /*faults=*/true);
+    base.obs.trace_level = obs::TraceLevel::kPacket;
+    base.obs.metrics = true;
+    auto golden = run_parallel_scan(base);
+    ASSERT_TRUE(golden.ok) << golden.error;
+    ASSERT_FALSE(golden.trace.empty());
+
+    EngineConfig cut = base;
+    cut.shutdown_at_raw_slot = 500;
+    auto interrupted = run_parallel_scan(cut);
+    ASSERT_TRUE(interrupted.ok && interrupted.interrupted);
+    const recover::CheckpointState state =
+        shutdown_checkpoint(interrupted, SIGTERM);
+    EXPECT_TRUE(state.quiescent);
+    EXPECT_EQ(state.signal, SIGTERM);
+    ASSERT_TRUE(state.has_obs);
+    ASSERT_FALSE(state.trace.empty());
+    EXPECT_LT(state.trace.size(), golden.trace.size());
+
+    auto parsed =
+        recover::parse_checkpoint(recover::serialize_checkpoint(state));
+    ASSERT_TRUE(parsed.state.has_value()) << parsed.error;
+    EngineConfig resume = base;
+    resume.resume = &*parsed.state;
+    auto result = run_parallel_scan(resume);
+    ASSERT_TRUE(result.ok) << result.error;
+
+    EXPECT_EQ(stream_fingerprint(result), stream_fingerprint(golden));
+    EXPECT_EQ(trace_jsonl(result.trace), trace_jsonl(golden.trace));
+    EXPECT_EQ(obs::prometheus_text(result.metrics_snapshot),
+              obs::prometheus_text(golden.metrics_snapshot));
+  }
 }
 
 // Mid-flight (non-quiescent) periodic checkpoints: resuming from the last
@@ -247,9 +269,8 @@ TEST(Resume, PeriodicCheckpointRegeneratesTailExactly) {
 
     // Every carried record must sit strictly below its worker's cursor.
     for (const auto& r : snapshot->records) {
-      ASSERT_LT(static_cast<std::size_t>(r.worker),
-                snapshot->cursors.size());
-      EXPECT_LT(r.raw_slot, snapshot->cursors[r.worker].frontier_slot);
+      ASSERT_LT(static_cast<std::size_t>(r.shard), snapshot->cursors.size());
+      EXPECT_LT(r.raw_slot, snapshot->cursors[r.shard].frontier_slot);
     }
 
     auto round =

@@ -57,21 +57,21 @@ CheckpointState sample_state() {
   state.stats.first_send = 1000;
   state.stats.last_send = 999000;
 
-  state.cursors.push_back(WorkerCursor{{12, 34}, 40});
-  state.cursors.push_back(WorkerCursor{{13, 33}, 41});
+  state.cursors.push_back(scan::ScanCursor{{12, 34}, 40});
+  state.cursors.push_back(scan::ScanCursor{{13, 33}, 41});
 
-  CheckpointRecord record;
+  scan::ScanRecord record;
   record.response.kind = scan::ResponseKind::kEchoReply;
   record.response.responder = *net::Ipv6Address::parse("2001:db8::1");
   record.response.probe_dst = *net::Ipv6Address::parse("2001:db8::2");
   record.response.icmp_code = 3;
   record.response.hop_limit = 57;
   record.when = 123456789;
-  record.worker = 1;
+  record.shard = 1;
   record.raw_slot = 77;
   state.records.push_back(record);
   record.response.kind = scan::ResponseKind::kDestUnreachable;
-  record.worker = 0;
+  record.shard = 0;
   record.raw_slot = 12;
   state.records.push_back(record);
 
@@ -131,9 +131,9 @@ TEST(CheckpointState, RoundTripsExactly) {
   EXPECT_EQ(back.records[0].response.icmp_code, 3);
   EXPECT_EQ(back.records[0].response.hop_limit, 57);
   EXPECT_EQ(back.records[0].when, 123456789u);
-  EXPECT_EQ(back.records[0].worker, 1);
+  EXPECT_EQ(back.records[0].shard, 1);
   EXPECT_EQ(back.records[0].raw_slot, 77u);
-  EXPECT_EQ(back.records[1].worker, 0);
+  EXPECT_EQ(back.records[1].shard, 0);
 
   ASSERT_TRUE(back.has_obs);
   ASSERT_EQ(back.trace.size(), 1u);

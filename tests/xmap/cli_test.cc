@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "xmap/output.h"
 
@@ -361,6 +366,85 @@ TEST(OutputWriters, MultipleRecords) {
   int lines = 0;
   for (char c : out.str()) lines += c == '\n';
   EXPECT_EQ(lines, 4);
+}
+
+// One `xmap_sim` command found in a fenced code block of the docs.
+struct DocCommand {
+  std::string where;  // "<file>:<line>"
+  std::vector<std::string> args;  // argv[1..], comments stripped
+};
+
+// Every xmap_sim invocation inside the ``` blocks of `path` (the program
+// is `xmap_sim` or a path ending in `/xmap_sim`), with `\` continuations
+// joined and trailing `# comments` dropped.
+std::vector<DocCommand> doc_commands(const std::filesystem::path& path) {
+  std::vector<DocCommand> out;
+  std::ifstream in{path};
+  std::string line;
+  bool fenced = false;
+  int line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.rfind("```", 0) == 0) {
+      fenced = !fenced;
+      continue;
+    }
+    if (!fenced) continue;
+    const int first_line = line_no;
+    while (!line.empty() && line.back() == '\\') {
+      line.pop_back();
+      std::string next;
+      if (!std::getline(in, next)) break;
+      ++line_no;
+      line += " " + next;
+    }
+    std::istringstream tokens{line};
+    std::string program;
+    if (!(tokens >> program)) continue;
+    if (program != "xmap_sim" &&
+        (program.size() < 9 ||
+         program.compare(program.size() - 9, 9, "/xmap_sim") != 0)) {
+      continue;
+    }
+    DocCommand command;
+    command.where = path.filename().string() + ":" +
+                    std::to_string(first_line);
+    std::string token;
+    while (tokens >> token && token[0] != '#') command.args.push_back(token);
+    // A command line starts with a flag; anything else (a diagram label
+    // such as "tools/xmap_sim · bench/*") is prose.
+    if (!command.args.empty() && command.args[0][0] != '-') continue;
+    out.push_back(std::move(command));
+  }
+  return out;
+}
+
+// The documented command lines are part of the interface: each one must
+// parse (nothing is run), so a renamed or misspelled flag in README.md or
+// docs/*.md fails here instead of in a reader's shell.
+TEST(DocExamples, EveryDocumentedXmapSimCommandParses) {
+  const std::filesystem::path root{XMAP_SOURCE_DIR};
+  std::vector<std::filesystem::path> files{root / "README.md"};
+  for (const auto& entry : std::filesystem::directory_iterator{root / "docs"}) {
+    if (entry.path().extension() == ".md") files.push_back(entry.path());
+  }
+  std::sort(files.begin() + 1, files.end());
+
+  std::size_t checked = 0;
+  for (const auto& file : files) {
+    for (const auto& command : doc_commands(file)) {
+      SCOPED_TRACE(command.where);
+      std::vector<const char*> argv{"xmap_sim"};
+      for (const auto& arg : command.args) argv.push_back(arg.c_str());
+      const auto result =
+          parse_cli(static_cast<int>(argv.size()), argv.data());
+      EXPECT_TRUE(result.options.has_value()) << result.error;
+      ++checked;
+    }
+  }
+  // README, recovery, observability, distributed and results_store all
+  // show the CLI; finding fewer means the extraction broke, not the docs.
+  EXPECT_GE(checked, 9u);
 }
 
 }  // namespace

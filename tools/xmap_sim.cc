@@ -377,14 +377,14 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  // The export tail both executors share, over either one's record type
-  // (each exposes .response and .when). Records arrive pre-sorted
-  // deterministically (checkpoint records included), so the output stream
-  // is byte-identical across runs — interrupted-then-resumed or not — for
-  // a fixed seed. Returns false after a diagnostic if an artifact cannot be
-  // written.
-  auto export_scan = [&](const auto& records, const scan::ScanStats& stats,
-                         int workers, double wall_seconds,
+  // The export tail both executors share. Records arrive in the
+  // deterministic content order (checkpoint records included), so the
+  // output stream is byte-identical across runs — interrupted-then-resumed
+  // or not — for a fixed seed. Returns false after a diagnostic if an
+  // artifact cannot be written.
+  auto export_scan = [&](const std::vector<scan::ScanRecord>& records,
+                         const scan::ScanStats& stats, int workers,
+                         double wall_seconds,
                          const std::vector<obs::TraceEvent>& trace,
                          const obs::MetricsSnapshot& metrics,
                          const obs::StageProfile& profile) -> bool {
@@ -610,23 +610,8 @@ int main(int argc, char** argv) {
   }
   int exit_code = kExitOk;
   if (result.interrupted) {
-    // Quiescent shutdown checkpoint: every drawn lifecycle drained, so
-    // records, trace and metrics snapshot the scan exactly.
-    recover::CheckpointState state;
-    state.quiescent = true;
-    state.signal = shutdown.signal();
-    state.stats = result.stats;
-    for (const auto& cursor : result.cursors) {
-      state.cursors.push_back(
-          recover::WorkerCursor{cursor.spec_steps, cursor.frontier_slot});
-    }
-    for (const auto& record : result.records) {
-      state.records.push_back(recover::CheckpointRecord{
-          record.response, record.when, record.worker, record.raw_slot});
-    }
-    state.has_obs = true;
-    state.trace = result.trace;
-    state.metrics = result.metrics_snapshot;
+    recover::CheckpointState state =
+        engine::shutdown_checkpoint(result, shutdown.signal());
     if (!write_state(state)) {
       finish_status();
       return kExitConfig;
