@@ -87,8 +87,8 @@ int main() {
     clean_print = fingerprint(clean);
 
     auto cfg = make_config(window_bits);
-    cfg.fabric_faults.kills.push_back(
-        sim::FabricFaultPlan::Kill{1, kill_slot, /*close_transport=*/true});
+    cfg.kills.push_back(
+        fabric::NodeKill{1, kill_slot, /*close_transport=*/true});
     auto failed_over = fabric::run_fabric_scan(cfg);
     if (!failed_over.ok || failed_over.failed) {
       std::fprintf(stderr, "failover run failed: %s\n",

@@ -102,8 +102,8 @@ int main() {
     bytes_on_wire = clean.bytes_sent + clean.bytes_received;
 
     auto mcfg = make_config(window_bits, true);
-    mcfg.fabric_faults.kills.push_back(
-        sim::FabricFaultPlan::Kill{1, kill_slot, /*close_transport=*/true});
+    mcfg.kills.push_back(
+        fabric::NodeKill{1, kill_slot, /*close_transport=*/true});
     auto migrated = fabric::run_fabric_scan(mcfg);
     if (!migrated.ok || migrated.failed || fingerprint(migrated) != expect) {
       std::fprintf(stderr,

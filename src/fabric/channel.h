@@ -1,16 +1,19 @@
 // The fabric's reliable delivery layer.
 //
-// The transport may duplicate, truncate and delay frames (and a truncated
-// frame fails the protocol checksum, so it simply vanishes). On top of
-// that, ReliableLink provides exactly-once, in-order delivery of
-// data-bearing messages with a stop-and-wait protocol: one frame in flight,
-// retransmitted on an ack timeout with bounded exponential backoff and
-// deterministic seeded jitter, acknowledged by seq. The receiver half is
-// deliberately trivial — deliver-and-ack on the expected sequence, re-ack
-// and discard below it — which is what makes the whole fabric's ordering
-// argument short: within one direction of one channel, message N+1 is never
-// delivered before message N, so a checkpoint frame in hand implies every
-// record frame streamed before it is in hand too.
+// Frames can be lost or re-sent: a TCP connection dies mid-frame (the torn
+// frame dies with its stream and the worker rejoins on a fresh one), a
+// stalled stream delays an ack past the retransmit timeout (the receiver
+// then sees a spurious copy), and a frame failing the protocol checksum
+// simply vanishes. On top of that, ReliableLink provides exactly-once,
+// in-order delivery of data-bearing messages with a stop-and-wait
+// protocol: one frame in flight, retransmitted on an ack timeout with
+// bounded exponential backoff and deterministic seeded jitter, acknowledged
+// by seq. The receiver half is deliberately trivial — deliver-and-ack on
+// the expected sequence, re-ack and discard below it — which is what makes
+// the whole fabric's ordering argument short: within one direction of one
+// channel, message N+1 is never delivered before message N, so a
+// checkpoint frame in hand implies every record frame streamed before it
+// is in hand too.
 //
 // ReliableLink is a pure state machine: it never blocks and never touches a
 // transport — callers pump poll()/on_ack()/on_reliable() from their own

@@ -1,6 +1,6 @@
 // Deterministic chaos socket proxy: a real TCP relay with seeded fault
-// injection, the kernel-level counterpart of the loopback's message-fault
-// plan. Tests point a worker's connect address at the proxy and the proxy
+// injection — the fabric's only transport-fault substrate (the loopback is
+// pristine). Tests point a worker's connect address at the proxy and the proxy
 // at the coordinator; every byte then crosses two real sockets, and the
 // proxy perturbs the stream in ways only a socket transport can observe:
 //

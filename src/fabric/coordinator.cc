@@ -90,19 +90,12 @@ FabricResult run_fabric_scan(const FabricConfig& config) {
       config.heartbeat_timeout_ms <= config.heartbeat_interval_ms) {
     return fail("fabric: heartbeat timeout must exceed the interval");
   }
-  for (const auto& kill : config.fabric_faults.kills) {
+  for (const auto& kill : config.kills) {
     if (kill.node < 0 || kill.node >= config.nodes) {
       return fail("fabric: kill plan names node " +
                   std::to_string(kill.node) + " of " +
                   std::to_string(config.nodes));
     }
-  }
-  if (config.transport == TransportKind::kTcp &&
-      config.fabric_faults.messages.any()) {
-    return fail(
-        "fabric: loopback message faults do not compose with the tcp "
-        "transport — inject socket-level chaos through the chaos proxy "
-        "instead");
   }
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -166,8 +159,7 @@ FabricResult run_fabric_scan(const FabricConfig& config) {
     tcp = tcp_plane.get();
     plane_owned = std::move(tcp_plane);
   } else {
-    auto lb =
-        std::make_unique<LoopbackFabric>(config.nodes, &config.fabric_faults);
+    auto lb = std::make_unique<LoopbackFabric>(config.nodes);
     loopback = lb.get();
     plane_owned = std::move(lb);
   }
@@ -200,7 +192,7 @@ FabricResult run_fabric_scan(const FabricConfig& config) {
     wcfg.recorder =
         recorders.empty() ? nullptr : recorders[static_cast<std::size_t>(w)]
                                           .get();
-    for (const auto& kill : config.fabric_faults.kills) {
+    for (const auto& kill : config.kills) {
       if (kill.node == w) wcfg.kill = kill;
     }
     Transport* endpoint = nullptr;

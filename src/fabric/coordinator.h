@@ -2,8 +2,8 @@
 //
 // run_fabric_scan splits the machine's permutation shard into
 // `shards` fabric shards and leases them to `nodes` worker engines over the
-// frame protocol (protocol.h) on an in-process loopback transport
-// (transport.h) — the same state machines would drive a socket transport.
+// frame protocol (protocol.h) on the in-process loopback (transport.h) or
+// real TCP sockets (tcp_transport.h) — one state machine drives both.
 // Each shard is one lease: Assign carries the shard index, the shared
 // budget cut, the scan's fingerprint hash, and (after a failover) the dead
 // worker's last streamed checkpoint cursor.
@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "fabric/channel.h"
+#include "fabric/node_kill.h"
 #include "obs/config.h"
 #include "obs/fabric_trace.h"
 #include "obs/flight_recorder.h"
@@ -80,7 +81,8 @@ struct FabricConfig {
   // over, and determinism is the whole point of the fabric.
   scan::ScanConfig scan;
   sim::FaultPlan faults;
-  sim::FabricFaultPlan fabric_faults;
+  // Seeded worker crashes (node_kill.h); the last entry naming a node wins.
+  std::vector<NodeKill> kills;
 
   int nodes = 1;    // worker engines (1..kMaxNodes)
   int shards = 8;   // fabric shard count S — the determinism unit
@@ -88,9 +90,8 @@ struct FabricConfig {
   // Transport selection. With kTcp the coordinator binds listen_address
   // (port 0 picks an ephemeral port) and workers connect to
   // connect_address — empty means the coordinator's actual bound address,
-  // which is how tests route workers through a chaos proxy instead.
-  // Loopback message faults (fabric_faults.messages) are refused with kTcp:
-  // the chaos proxy is the socket-level fault substrate.
+  // which is how tests route workers through a chaos proxy instead (the
+  // proxy is the fabric's only transport-fault substrate).
   TransportKind transport = TransportKind::kLoopback;
   std::string listen_address = "127.0.0.1:0";
   std::string connect_address;

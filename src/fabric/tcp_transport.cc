@@ -584,8 +584,6 @@ bool TcpWorkerTransport::connect_locked(std::string& error) {
   fd_ = fd;
   in_.reset();
   out_.clear();
-  if (ever_connected_) ++reconnects_;
-  ever_connected_ = true;
   queue_rejoin_locked();
   flush_locked();
   return true;
@@ -613,7 +611,10 @@ void TcpWorkerTransport::disconnect_locked() {
   out_.clear();
   in_.reset();
   const auto now = Clock::now();
-  down_since_ = now;
+  if (window_rearmed_) {
+    down_since_ = now;
+    window_rearmed_ = false;
+  }
   next_attempt_ = now + std::chrono::milliseconds(opt_.reconnect_delay_ms);
   if (opt_.reconnect_window_ms <= 0) closed_ = true;
 }
@@ -660,7 +661,10 @@ void TcpWorkerTransport::pump_in_locked() {
       while (auto frame = in_.next()) {
         const std::uint8_t type = frame_type(*frame);
         if (type == static_cast<std::uint8_t>(MsgType::kRejoinOk)) {
-          continue;  // handshake settled; nothing for the layers above
+          // Handshake settled: the next drop opens a fresh reconnect
+          // window. Nothing for the layers above.
+          window_rearmed_ = true;
+          continue;
         }
         if (type == static_cast<std::uint8_t>(MsgType::kRejoinRefused)) {
           auto decoded = decode_frame(*frame);
@@ -779,11 +783,6 @@ void TcpWorkerTransport::note_lease(std::uint32_t shard, std::uint32_t epoch,
   lease_shard_ = shard;
   lease_epoch_ = epoch;
   lease_held_ = held;
-}
-
-std::uint64_t TcpWorkerTransport::reconnects() const {
-  std::lock_guard lock{mu_};
-  return reconnects_;
 }
 
 std::string TcpWorkerTransport::refusal() const {

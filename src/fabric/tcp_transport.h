@@ -148,7 +148,11 @@ struct TcpWorkerOptions {
   int connect_timeout_ms = 2000;
   // After a socket death the transport reconnects transparently: attempts
   // every reconnect_delay_ms until reconnect_window_ms has passed since
-  // the disconnect, then latches closed. 0 window = no reconnects.
+  // the first drop after the last accepted handshake (kRejoinOk, or
+  // creation), then latches closed. A connect that drops before its
+  // kRejoinOk does not restart the window — a relay that accepts and then
+  // fails upstream cannot keep the worker reconnecting forever. 0 window =
+  // no reconnects.
   int reconnect_window_ms = 1500;
   int reconnect_delay_ms = 10;
 };
@@ -176,9 +180,6 @@ class TcpWorkerTransport final : public Transport {
   void note_lease(std::uint32_t shard, std::uint32_t epoch,
                   bool held) override;
 
-  // Reconnections that reached the coordinator (successful handshakes
-  // after the initial join).
-  [[nodiscard]] std::uint64_t reconnects() const;
   // Non-empty once the coordinator refused a rejoin; the permanent-failure
   // diagnostic.
   [[nodiscard]] std::string refusal() const;
@@ -207,10 +208,12 @@ class TcpWorkerTransport final : public Transport {
   std::uint32_t lease_shard_ = 0;
   std::uint32_t lease_epoch_ = 0;
   bool lease_held_ = false;
-  bool ever_connected_ = false;
+  // True until the first drop after creation or after a kRejoinOk: that
+  // drop opens the reconnect window (down_since_); later drops before the
+  // next kRejoinOk leave it running.
+  bool window_rearmed_ = true;
   Clock::time_point down_since_{};
   Clock::time_point next_attempt_{};
-  std::uint64_t reconnects_ = 0;
 };
 
 }  // namespace xmap::fabric

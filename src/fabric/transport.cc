@@ -1,27 +1,23 @@
 #include "fabric/transport.h"
 
-#include <algorithm>
 #include <atomic>
-#include <optional>
-
-#include "fabric/protocol.h"
-#include "netbase/random.h"
+#include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
+#include <vector>
 
 namespace xmap::fabric {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 struct Entry {
   int worker = -1;
   std::string frame;
   bool closed = false;  // close sentinel, delivered after pending frames
-  Clock::time_point deliver_at;
 };
 
-// An unbounded delay-aware FIFO: entries become visible at their
-// deliver_at, so a delayed frame lets later frames overtake it — exactly
-// the reordering the fault plan's delay dial is meant to produce.
+// An unbounded FIFO. close() lets pending entries drain, then every pop
+// reports kClosed.
 class Mailbox {
  public:
   void push(Entry entry) {
@@ -46,30 +42,18 @@ class Mailbox {
   };
 
   PopResult pop(int timeout_ms) {
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(timeout_ms);
     std::unique_lock lock{mu_};
-    for (;;) {
-      const auto now = Clock::now();
-      const auto ready =
-          std::find_if(queue_.begin(), queue_.end(), [&](const Entry& e) {
-            return e.deliver_at <= now;
-          });
-      if (ready != queue_.end()) {
-        PopResult out;
-        out.status = ready->closed ? RecvStatus::kClosed : RecvStatus::kFrame;
-        out.entry = std::move(*ready);
-        queue_.erase(ready);
-        return out;
-      }
-      if (queue_.empty() && closed_) return {RecvStatus::kClosed, {}};
-      auto wait_until = deadline;
-      for (const Entry& e : queue_) {
-        wait_until = std::min(wait_until, e.deliver_at);
-      }
-      if (now >= wait_until && now >= deadline) return {};
-      cv_.wait_until(lock, wait_until);
+    cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                 [this] { return !queue_.empty() || closed_; });
+    if (queue_.empty()) {
+      return {closed_ ? RecvStatus::kClosed : RecvStatus::kTimeout, {}};
     }
+    PopResult out;
+    out.status =
+        queue_.front().closed ? RecvStatus::kClosed : RecvStatus::kFrame;
+    out.entry = std::move(queue_.front());
+    queue_.pop_front();
+    return out;
   }
 
  private:
@@ -79,39 +63,16 @@ class Mailbox {
   bool closed_ = false;
 };
 
-bool is_heartbeat(const std::string& frame) {
-  return frame.size() > 8 &&
-         static_cast<std::uint8_t>(frame[8]) ==
-             static_cast<std::uint8_t>(MsgType::kHeartbeat);
-}
-
 }  // namespace
 
 struct LoopbackFabric::Impl {
-  struct Channel;
-
-  // Applies the fault plan to one transmission and pushes the surviving
-  // deliveries. `endpoint` is the channel's worker index in both
-  // directions; `to_coordinator` disambiguates. Returns nothing — a drop
-  // is a successful send from the sender's point of view.
-  void deliver(Mailbox& box, Channel& channel, int worker, std::string frame,
-               bool to_coordinator);
-
   struct Channel {
     Mailbox to_worker;
     std::atomic<bool> worker_closed{false};
     std::atomic<bool> coord_closed{false};
-    // Per-direction retransmission counters: the fault verdict is keyed by
-    // (frame bytes, attempt), so the Nth retransmission of an identical
-    // frame gets a fresh draw. Guarded — the worker's heartbeat thread
-    // sends concurrently with its main thread.
-    std::mutex attempts_mu;
-    std::unordered_map<std::uint64_t, std::uint32_t> attempts_up;
-    std::unordered_map<std::uint64_t, std::uint32_t> attempts_down;
     std::unique_ptr<Transport> endpoint;
   };
 
-  const sim::FabricFaultPlan* faults = nullptr;
   int workers = 0;
   Mailbox coord_inbox;
   std::vector<std::unique_ptr<Channel>> channels;
@@ -131,8 +92,7 @@ class WorkerEndpoint final : public Transport {
         channel.coord_closed.load(std::memory_order_acquire)) {
       return false;
     }
-    fabric_->deliver(fabric_->coord_inbox, channel, worker_,
-                     std::move(frame), /*to_coordinator=*/true);
+    fabric_->coord_inbox.push(Entry{worker_, std::move(frame)});
     return true;
   }
 
@@ -153,11 +113,7 @@ class WorkerEndpoint final : public Transport {
     // The coordinator sees the hangup after this worker's already-queued
     // frames (a TCP FIN behind buffered data); the worker's own inbox
     // unblocks immediately.
-    Entry sentinel;
-    sentinel.worker = worker_;
-    sentinel.closed = true;
-    sentinel.deliver_at = Clock::now();
-    fabric_->coord_inbox.push(std::move(sentinel));
+    fabric_->coord_inbox.push(Entry{worker_, {}, /*closed=*/true});
     channel.to_worker.close();
   }
 
@@ -168,53 +124,8 @@ class WorkerEndpoint final : public Transport {
 
 }  // namespace
 
-void LoopbackFabric::Impl::deliver(Mailbox& box, Channel& channel,
-                                   int worker, std::string frame,
-                                   bool to_coordinator) {
-  auto now = Clock::now();
-  if (faults == nullptr || !faults->messages.any()) {
-    Entry entry;
-    entry.worker = worker;
-    entry.frame = std::move(frame);
-    entry.deliver_at = now;
-    box.push(std::move(entry));
-    return;
-  }
-  std::uint32_t attempt = 0;
-  {
-    const std::uint64_t key = frame_checksum(frame);
-    std::lock_guard lock{channel.attempts_mu};
-    auto& attempts =
-        to_coordinator ? channel.attempts_up : channel.attempts_down;
-    attempt = attempts[key]++;
-  }
-  const sim::FabricMessageVerdict verdict = sim::fabric_message_verdict(
-      *faults, static_cast<std::uint32_t>(worker), to_coordinator,
-      is_heartbeat(frame), frame.data(), frame.size(), attempt);
-  if (verdict.drop) return;
-  if (verdict.truncate_to != 0 && verdict.truncate_to < frame.size()) {
-    frame.resize(verdict.truncate_to);
-  }
-  Entry entry;
-  entry.worker = worker;
-  entry.frame = frame;
-  entry.deliver_at =
-      now + std::chrono::microseconds(
-                static_cast<std::int64_t>(verdict.extra_delay_ms * 1000.0));
-  if (verdict.duplicate) {
-    Entry copy;
-    copy.worker = worker;
-    copy.frame = std::move(frame);
-    copy.deliver_at = now;  // the duplicate races ahead of the original
-    box.push(std::move(copy));
-  }
-  box.push(std::move(entry));
-}
-
-LoopbackFabric::LoopbackFabric(int workers,
-                               const sim::FabricFaultPlan* faults)
+LoopbackFabric::LoopbackFabric(int workers)
     : impl_(std::make_unique<Impl>()) {
-  impl_->faults = faults;
   impl_->workers = workers;
   impl_->channels.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {
@@ -247,8 +158,7 @@ bool LoopbackFabric::send_to(int worker, std::string frame) {
       channel.coord_closed.load(std::memory_order_acquire)) {
     return false;
   }
-  impl_->deliver(channel.to_worker, channel, worker, std::move(frame),
-                 /*to_coordinator=*/false);
+  channel.to_worker.push(Entry{worker, std::move(frame)});
   return true;
 }
 

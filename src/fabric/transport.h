@@ -3,27 +3,20 @@
 // The coordinator and its workers exchange whole frames over a Transport —
 // an abstract, bidirectional, FIFO-per-direction byte-message channel with
 // TCP-like close semantics (pending frames drain, then the peer observes
-// the close). The fabric's state machines depend only on this interface, so
-// a socket transport slots in behind the same API; the in-process
-// LoopbackFabric below is the reproduction substrate.
+// the close). The fabric's state machines depend only on this interface:
+// the in-process LoopbackFabric below and the socket transport
+// (tcp_transport.h) both implement it.
 //
-// The loopback applies sim::fabric_message_verdict to every send: seeded,
-// keyed per-frame faults (heartbeat drops, duplication, truncation,
-// delivery delay that reorders) — the transport is where the hostile
-// network lives, and the protocol/channel layers above must survive it.
+// The loopback is pristine — no loss, duplication, truncation or delay.
+// Transport faults live on real sockets only: the chaos proxy
+// (chaos_proxy.h) cuts, splits, coalesces, stalls and blackholes a TCP
+// byte stream, which is the only place mid-frame cuts, rejoins and
+// half-open peers exist.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
-
-#include "sim/faults.h"
 
 namespace xmap::fabric {
 
@@ -117,14 +110,11 @@ class FabricPlane {
   }
 };
 
-// The in-process reproduction substrate: frames move through delay-aware
-// FIFO mailboxes, faults are applied on send. Worker threads obtain their
-// Transport via worker_endpoint().
+// The in-process substrate: frames move through unbounded FIFO mailboxes,
+// untouched. Worker threads obtain their Transport via worker_endpoint().
 class LoopbackFabric final : public FabricPlane {
  public:
-  // `faults` may be null (pristine transport); not owned, must outlive the
-  // fabric. Faults are applied on send, in both directions.
-  LoopbackFabric(int workers, const sim::FabricFaultPlan* faults);
+  explicit LoopbackFabric(int workers);
   ~LoopbackFabric() override;
 
   LoopbackFabric(const LoopbackFabric&) = delete;

@@ -65,7 +65,7 @@ bool FabricWorker::pump(bool until_idle) {
     }
     if (received.status != RecvStatus::kFrame) continue;
     auto decoded = decode_frame(received.frame);
-    // A corrupt (truncated) frame vanishes here; the sender's
+    // An undecodable frame vanishes here; the sender's
     // retransmission schedule recovers it.
     if (!decoded.message) continue;
     Message& msg = *decoded.message;

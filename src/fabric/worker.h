@@ -17,7 +17,7 @@
 // arity) comes back as a Refuse frame with a "stored …, computed …" style
 // diagnostic, mirroring src/recover's checkpoint validation.
 //
-// Fault-plan kills are honoured here: a worker with a Kill entry arms
+// Seeded kills (node_kill.h) are honoured here: a worker with a kill arms
 // ScanConfig::shutdown_at_raw_slot and, once the scanner stops at the kill
 // slot, simply goes silent — no flush, no ShardDone, no heartbeats, and
 // (when close_transport) a dropped connection — which is exactly what the
@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "fabric/channel.h"
+#include "fabric/node_kill.h"
 #include "fabric/obs_tap.h"
 #include "fabric/transport.h"
 #include "obs/config.h"
@@ -70,8 +71,8 @@ struct WorkerConfig {
   std::size_t record_batch = 128;
   BackoffPolicy backoff;
 
-  // Seeded crash, resolved from the fabric fault plan for this worker.
-  std::optional<sim::FabricFaultPlan::Kill> kill;
+  // Seeded crash, resolved from FabricConfig::kills for this worker.
+  std::optional<NodeKill> kill;
 
   // Scan-content observability (deterministic: trace buffers and metrics
   // shards are shipped back per shard over ObsTrace/ObsMetrics frames).

@@ -266,49 +266,4 @@ bool FaultInjector::node_silent(NodeId node, SimTime when) const {
   return when >= it->second.first && when < it->second.second;
 }
 
-FabricMessageVerdict fabric_message_verdict(
-    const FabricFaultPlan& plan, std::uint32_t endpoint, bool to_coordinator,
-    bool heartbeat, const void* frame, std::size_t frame_len,
-    std::uint32_t attempt) {
-  FabricMessageVerdict verdict;
-  const FabricMessageFaults& m = plan.messages;
-  if (!m.any()) return verdict;
-
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto* bytes = static_cast<const std::uint8_t*>(frame);
-  for (std::size_t i = 0; i < frame_len; ++i) {
-    h ^= static_cast<std::uint64_t>(bytes[i]);
-    h *= 0x100000001b3ULL;
-  }
-  std::uint64_t key = net::hash_combine64(plan.seed, h);
-  key = net::hash_combine64(key, endpoint);
-  key = net::hash_combine64(key, to_coordinator ? 1 : 0);
-  key = net::hash_combine64(key, attempt);
-
-  // Heartbeats are liveness signals with no delivery guarantee: they may
-  // vanish outright. Data frames are never dropped here — the reliable
-  // channel's retransmission is what the truncate/delay/duplicate dials
-  // exercise — so a lost heartbeat can cost a false suspicion but never a
-  // record.
-  if (heartbeat && m.drop_heartbeat > 0 &&
-      keyed_unit(key, kSaltIid) < m.drop_heartbeat) {
-    verdict.drop = true;
-    return verdict;
-  }
-  if (m.duplicate > 0 && keyed_unit(key, kSaltDup) < m.duplicate) {
-    verdict.duplicate = true;
-  }
-  if (m.truncate > 0 && frame_len > 1 &&
-      keyed_unit(key, kSaltCorrupt) < m.truncate) {
-    // A keyed strictly-shorter prefix: the frame checksum must reject it.
-    verdict.truncate_to = 1 + static_cast<std::size_t>(
-        net::mix64(net::hash_combine64(key, kSaltCorrupt)) %
-        (frame_len - 1));
-  }
-  if (m.delay_ms > 0) {
-    verdict.extra_delay_ms = keyed_unit(key, kSaltJitter) * m.delay_ms;
-  }
-  return verdict;
-}
-
 }  // namespace xmap::sim

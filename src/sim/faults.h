@@ -187,64 +187,4 @@ class FaultInjector {
   std::unordered_map<NodeId, std::pair<SimTime, SimTime>> silent_;
 };
 
-// ---- Fabric-layer faults ---------------------------------------------------
-//
-// The distributed scan fabric (src/fabric) moves control and data frames
-// over a message transport; these dials extend the seeded fault model to
-// that layer. Every verdict is keyed by (seed, endpoint, direction, frame
-// bytes, attempt) — a pure function of what is sent, never of global call
-// order — so a fault scenario replays identically run to run while the
-// reliable channel's retransmissions (attempt index) still get fresh
-// draws. The fabric's delivery guarantees must hold under any plan: the
-// headline byte-identity tests run with these dials wide open.
-
-// Per-frame fault dials. All probabilities are per transmission.
-struct FabricMessageFaults {
-  double drop_heartbeat = 0.0;  // P(silently drop a heartbeat frame)
-  double duplicate = 0.0;       // P(deliver a second copy of a frame)
-  double truncate = 0.0;        // P(deliver only a keyed-length prefix)
-  double delay_ms = 0.0;        // max extra delivery delay (uniform)
-
-  [[nodiscard]] bool any() const {
-    return drop_heartbeat > 0 || duplicate > 0 || truncate > 0 ||
-           delay_ms > 0;
-  }
-};
-
-struct FabricFaultPlan {
-  std::uint64_t seed = 0;  // 0 = inherit the fabric's seed
-  FabricMessageFaults messages;
-
-  // Seeded worker crashes: worker `node` dies when its scan frontier
-  // reaches global permutation slot `at_slot` — it stops heartbeating and
-  // streaming without any goodbye (and, when `close_transport`, its
-  // connection drops like a TCP reset, giving the coordinator an immediate
-  // death signal instead of a heartbeat timeout).
-  struct Kill {
-    int node = 0;
-    std::uint64_t at_slot = 0;
-    bool close_transport = false;
-  };
-  std::vector<Kill> kills;
-
-  [[nodiscard]] bool any() const { return messages.any() || !kills.empty(); }
-};
-
-// Fate of one fabric frame transmission.
-struct FabricMessageVerdict {
-  bool drop = false;             // heartbeats only — data frames retransmit
-  bool duplicate = false;        // deliver a second copy
-  std::size_t truncate_to = 0;   // nonzero = deliver only this prefix
-  double extra_delay_ms = 0.0;   // hold the frame back this long
-};
-
-// Keyed verdict for a frame on channel `endpoint` (the channel's worker
-// index) in the direction given by `to_coordinator`. `attempt` is the
-// retransmission index of this exact byte string on this
-// endpoint/direction, tracked by the caller.
-[[nodiscard]] FabricMessageVerdict fabric_message_verdict(
-    const FabricFaultPlan& plan, std::uint32_t endpoint, bool to_coordinator,
-    bool heartbeat, const void* frame, std::size_t frame_len,
-    std::uint32_t attempt);
-
 }  // namespace xmap::sim

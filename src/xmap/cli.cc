@@ -133,12 +133,6 @@ Distributed fabric (src/fabric; see docs/distributed.md):
                             (repeatable); with :close its connection drops
                             immediately, otherwise death is detected by
                             heartbeat timeout
-  --fabric-drop-heartbeat <p>
-                            P(drop a heartbeat frame) (0..1)
-  --fabric-duplicate <p>    P(deliver a fabric frame twice) (0..1)
-  --fabric-truncate <p>     P(truncate a fabric frame; the checksum rejects
-                            it and retransmission recovers) (0..1)
-  --fabric-delay-ms <ms>    max extra fabric frame delay (reorders)
   --fabric-trace-file <path>
                             causal cross-node deployment trace (Perfetto /
                             chrome://tracing JSON): lease grants, probe
@@ -553,7 +547,7 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
     } else if (arg == "--kill-node-at") {
       std::string value;
       if (!next_value(arg, value)) return fail("--kill-node-at needs a value");
-      sim::FabricFaultPlan::Kill kill;
+      fabric::NodeKill kill;
       std::string_view text = value;
       bool ok = true;
       const std::size_t first = text.find(':');
@@ -575,29 +569,7 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
       if (!ok) return fail("bad --kill-node-at (<node>:<slot>[:close])");
       kill.node = static_cast<int>(node);
       kill.at_slot = static_cast<std::uint64_t>(slot);
-      opts.fabric_faults.kills.push_back(kill);
-    } else if (arg == "--fabric-drop-heartbeat" ||
-               arg == "--fabric-duplicate" || arg == "--fabric-truncate") {
-      std::string value;
-      double p = 0;
-      if (!next_value(arg, value) || !parse_double(value, p) ||
-          !unit_range(p)) {
-        return fail("bad " + std::string{arg} + " (probability in 0..1)");
-      }
-      if (arg == "--fabric-drop-heartbeat") {
-        opts.fabric_faults.messages.drop_heartbeat = p;
-      }
-      if (arg == "--fabric-duplicate") {
-        opts.fabric_faults.messages.duplicate = p;
-      }
-      if (arg == "--fabric-truncate") opts.fabric_faults.messages.truncate = p;
-    } else if (arg == "--fabric-delay-ms") {
-      std::string value;
-      if (!next_value(arg, value) ||
-          !parse_double(value, opts.fabric_faults.messages.delay_ms) ||
-          opts.fabric_faults.messages.delay_ms < 0) {
-        return fail("bad --fabric-delay-ms");
-      }
+      opts.fabric_kills.push_back(kill);
     } else if (arg == "--device-icmp-rate" || arg == "--router-icmp-rate") {
       std::string value;
       long long n = 0;
@@ -658,8 +630,8 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
         "checkpoint/resume flags need a bulk probe module, not the "
         "traceroute runner");
   }
-  if (opts.fabric_nodes == 0 && opts.fabric_faults.any()) {
-    return fail("fabric fault flags need --fabric-nodes");
+  if (opts.fabric_nodes == 0 && !opts.fabric_kills.empty()) {
+    return fail("--kill-node-at needs --fabric-nodes");
   }
   if (opts.fabric_nodes == 0 &&
       (!opts.fabric_trace_file.empty() || !opts.fabric_metrics_file.empty() ||
@@ -692,18 +664,12 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
           "leases internally (--checkpoint-interval-probes sets the "
           "cadence)");
     }
-    for (const auto& kill : opts.fabric_faults.kills) {
+    for (const auto& kill : opts.fabric_kills) {
       if (kill.node >= opts.fabric_nodes) {
         return fail("--kill-node-at names node " + std::to_string(kill.node) +
                     " but there are only " +
                     std::to_string(opts.fabric_nodes) + " fabric nodes");
       }
-    }
-    if (opts.fabric_transport == "tcp" && opts.fabric_faults.messages.any()) {
-      return fail(
-          "--fabric-drop-heartbeat/-duplicate/-truncate/-delay-ms are "
-          "loopback message faults; with --fabric-transport tcp the chaos "
-          "proxy is the fault substrate (--kill-node-at still applies)");
     }
   }
   if (opts.fabric_nodes == 0 &&

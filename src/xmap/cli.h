@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "fabric/node_kill.h"
 #include "obs/config.h"
 #include "sim/faults.h"
 #include "xmap/blocklist.h"
@@ -79,14 +80,12 @@ struct CliOptions {
   int fabric_heartbeat_timeout_ms = 250;  // --fabric-heartbeat-timeout-ms
   // Transport: "loopback" (in-process, the default) or "tcp" (real
   // sockets: the coordinator binds --fabric-listen, workers connect to
-  // --fabric-connect, default the coordinator's bound address). Loopback
-  // message-fault flags are refused with tcp.
+  // --fabric-connect, default the coordinator's bound address).
   std::string fabric_transport = "loopback";  // --fabric-transport
   std::string fabric_listen = "127.0.0.1:0";  // --fabric-listen addr:port
   std::string fabric_connect;                 // --fabric-connect addr:port
-  // Fabric-layer faults: seeded worker kills (--kill-node-at) and message
-  // faults (--fabric-drop-heartbeat/-duplicate/-truncate/-delay-ms).
-  sim::FabricFaultPlan fabric_faults;
+  // Seeded worker crashes (--kill-node-at, repeatable).
+  std::vector<fabric::NodeKill> fabric_kills;
   // Fabric-deployment observability (wall clock, quarantined from the
   // deterministic scan artifacts; the plain --trace-file/--metrics-file
   // flags stay byte-identical to an engine run at --fabric-shards threads).

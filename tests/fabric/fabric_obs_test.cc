@@ -10,20 +10,23 @@
 //     including across failovers (full-shard replay on resume);
 //   * flight recorders dump JSONL on worker death and capture refusals;
 //   * the health timeline emits well-formed interval snapshots;
-//   * hostile transport (duplication, truncation, delay) never produces
-//     orphan or duplicate spans.
+//   * a hostile transport (a chaos-proxied socket cut mid-frame and
+//     stalled) never produces orphan or duplicate spans.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chaos_route.h"
 #include "engine/executor.h"
+#include "fabric/chaos_proxy.h"
 #include "fabric/coordinator.h"
 #include "fabric/protocol.h"
 #include "fabric/transport.h"
@@ -146,8 +149,7 @@ TEST(FabricObs, SpanTreeConnectedAcrossKillAndMigrate) {
   auto cfg = make_config(4);
   cfg.fabric_trace = true;
   cfg.checkpoint_interval_targets = 64;
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{1, 600, /*close_transport=*/true});
+  cfg.kills.push_back(NodeKill{1, 600, /*close_transport=*/true});
   auto result = run_fabric_scan(cfg);
   ASSERT_TRUE(result.ok) << result.error;
   ASSERT_FALSE(result.failed);
@@ -243,8 +245,7 @@ TEST(FabricObs, ScanTraceAndMetricsByteIdenticalToEngine) {
   auto fcfg = make_config(3, kShards);
   fcfg.obs = obs_cfg;
   fcfg.checkpoint_interval_targets = 64;
-  fcfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{1, 600, /*close_transport=*/true});
+  fcfg.kills.push_back(NodeKill{1, 600, /*close_transport=*/true});
   auto fabric = run_fabric_scan(fcfg);
   ASSERT_TRUE(fabric.ok) << fabric.error;
   ASSERT_FALSE(fabric.failed);
@@ -272,8 +273,7 @@ TEST(FabricObs, ScanTraceAndMetricsByteIdenticalToEngine) {
 TEST(FabricObs, PerNodeMetricLabels) {
   auto cfg = make_config(3);
   cfg.checkpoint_interval_targets = 64;
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{1, 600, /*close_transport=*/true});
+  cfg.kills.push_back(NodeKill{1, 600, /*close_transport=*/true});
   auto result = run_fabric_scan(cfg);
   ASSERT_TRUE(result.ok) << result.error;
   ASSERT_EQ(result.dead_workers, 1);
@@ -306,8 +306,7 @@ TEST(FabricObs, FlightRecorderDumpsOnWorkerDeath) {
   cfg.checkpoint_interval_targets = 64;
   cfg.flight_recorder_events = 128;
   cfg.flight_recorder_prefix = prefix;
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{1, 600, /*close_transport=*/true});
+  cfg.kills.push_back(NodeKill{1, 600, /*close_transport=*/true});
   auto result = run_fabric_scan(cfg);
   ASSERT_TRUE(result.ok) << result.error;
   ASSERT_EQ(result.dead_workers, 1);
@@ -354,7 +353,7 @@ TEST(FabricObs, FlightRecorderCapturesRefusal) {
   obs::FlightRecorder recorder{64};
   std::vector<topo::IspSpec> specs = topo::paper::isp_specs();
   std::vector<topo::VendorProfile> vendors = topo::paper::vendor_catalog();
-  LoopbackFabric fabric{1, nullptr};
+  LoopbackFabric fabric{1};
   WorkerConfig cfg;
   cfg.id = 0;
   cfg.world_specs = &specs;
@@ -412,22 +411,24 @@ TEST(FabricObs, FlightRecorderCapturesRefusal) {
   EXPECT_NE(text.find("fingerprint mismatch"), std::string::npos) << text;
 }
 
-// Hostile transport — duplicated, truncated, delayed frames — may force
-// retransmissions, but the span tree stays connected and duplicate-free:
+// Hostile transport — a chaos-proxied socket cut mid-frame and stalled at
+// random — forces rejoins and retransmissions (some spurious, deduplicated
+// by the receiver), but the span tree stays connected and duplicate-free:
 // the trace context is bound to the frame payload, so replays never mint
-// new spans and drops never orphan children.
+// new spans and a torn stream never orphans children.
 TEST(FabricObs, NoOrphanOrDuplicateSpansUnderHostileTransport) {
   auto cfg = make_config(3);
   cfg.fabric_trace = true;
   cfg.obs.trace_level = obs::TraceLevel::kScan;
   cfg.obs.metrics = true;
-  cfg.fabric_faults.seed = 1234;
-  cfg.fabric_faults.messages.duplicate = 0.3;
-  cfg.fabric_faults.messages.truncate = 0.2;
-  cfg.fabric_faults.messages.delay_ms = 5.0;
+  cfg.transport = TransportKind::kTcp;
+  std::unique_ptr<ChaosProxy> proxy;
+  route_node_through_proxy(cfg, 1, cut_and_stall_options(), proxy);
   auto result = run_fabric_scan(cfg);
+  proxy->stop();
   ASSERT_TRUE(result.ok) << result.error;
   ASSERT_FALSE(result.failed);
+  EXPECT_EQ(proxy->cuts(), 1u);
   EXPECT_GT(result.retransmits, 0u);  // the chaos actually bit
 
   assert_connected_tree(result.fabric_spans);
@@ -490,8 +491,7 @@ TEST(FabricObs, HealthTimelineEmitsSnapshots) {
 TEST(FabricObs, ObsOffLeavesFabricResultLean) {
   auto cfg = make_config(2);
   cfg.checkpoint_interval_targets = 64;
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{0, 500, /*close_transport=*/true});
+  cfg.kills.push_back(NodeKill{0, 500, /*close_transport=*/true});
   auto result = run_fabric_scan(cfg);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(result.trace.empty());

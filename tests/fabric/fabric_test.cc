@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -14,7 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "chaos_route.h"
 #include "engine/executor.h"
+#include "fabric/chaos_proxy.h"
 #include "fabric/protocol.h"
 #include "fabric/transport.h"
 #include "fabric/worker.h"
@@ -129,8 +132,7 @@ TEST(Fabric, KillAndMigrateIsByteIdentical) {
 
   auto cfg = make_config(4);
   cfg.checkpoint_interval_targets = 64;
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{1, 600, /*close_transport=*/true});
+  cfg.kills.push_back(NodeKill{1, 600, /*close_transport=*/true});
   std::ostringstream log;
   cfg.log = &log;
   auto result = run_fabric_scan(cfg);
@@ -183,8 +185,7 @@ TEST(Fabric, FailoverResumesFromNonzeroCursor) {
 
   auto cfg = slow(4);
   cfg.checkpoint_interval_targets = 64;
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{1, 3000, /*close_transport=*/true});
+  cfg.kills.push_back(NodeKill{1, 3000, /*close_transport=*/true});
   auto result = run_fabric_scan(cfg);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_FALSE(result.failed);
@@ -216,8 +217,7 @@ TEST(Fabric, SilentCrashDetectedByHeartbeatTimeout) {
   cfg.checkpoint_interval_targets = 64;
   cfg.heartbeat_interval_ms = 10;
   cfg.heartbeat_timeout_ms = 80;
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{0, 500, /*close_transport=*/false});
+  cfg.kills.push_back(NodeKill{0, 500, /*close_transport=*/false});
   auto result = run_fabric_scan(cfg);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_FALSE(result.failed);
@@ -226,33 +226,33 @@ TEST(Fabric, SilentCrashDetectedByHeartbeatTimeout) {
   EXPECT_GT(result.missed_heartbeats, 0u);
 }
 
-// Message-level chaos — duplication, truncation, delivery delay, heartbeat
-// drops — is absorbed by the checksum + stop-and-wait layers: some frames
-// are rejected or retransmitted, but the merged bytes never change.
+// The hostile transport is a real socket through the chaos proxy: one
+// node's stream is cut mid-frame (the worker rejoins and the stop-and-wait
+// channel retransmits its in-flight frames onto the new stream) and
+// stalled at random (late acks trigger spurious retransmits, which the
+// receiver's expected-seq check discards). The merged bytes never change.
 TEST(Fabric, HostileTransportPreservesByteIdentity) {
   auto reference = run_fabric_scan(make_config(1));
   ASSERT_TRUE(reference.ok) << reference.error;
 
   auto cfg = make_config(3);
-  cfg.fabric_faults.seed = 1234;
-  cfg.fabric_faults.messages.duplicate = 0.3;
-  cfg.fabric_faults.messages.truncate = 0.2;
-  cfg.fabric_faults.messages.delay_ms = 5.0;
-  cfg.fabric_faults.messages.drop_heartbeat = 0.3;
+  cfg.transport = TransportKind::kTcp;
+  std::unique_ptr<ChaosProxy> proxy;
+  route_node_through_proxy(cfg, 1, cut_and_stall_options(), proxy);
   auto result = run_fabric_scan(cfg);
+  proxy->stop();
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_FALSE(result.failed);
   EXPECT_EQ(records_fingerprint(result), records_fingerprint(reference));
-  // Truncated frames fail the checksum and vanish; the reliable layer
-  // retransmits through them.
-  EXPECT_GT(result.frames_rejected, 0u);
+  EXPECT_EQ(proxy->cuts(), 1u);
+  EXPECT_GT(proxy->stalls(), 0u);
+  EXPECT_GE(result.reconnects, 1u);
   EXPECT_GT(result.retransmits, 0u);
 }
 
 TEST(Fabric, FabricMetricsCountersExported) {
   auto cfg = make_config(2);
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{0, 400, /*close_transport=*/true});
+  cfg.kills.push_back(NodeKill{0, 400, /*close_transport=*/true});
   cfg.checkpoint_interval_targets = 64;
   auto result = run_fabric_scan(cfg);
   ASSERT_TRUE(result.ok) << result.error;
@@ -304,8 +304,7 @@ TEST(Fabric, RejectsBadConfigs) {
   EXPECT_FALSE(run_fabric_scan(cfg).ok);
 
   cfg = make_config(2);
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{5, 100, false});  // node out of range
+  cfg.kills.push_back(NodeKill{5, 100, false});  // node out of range
   EXPECT_FALSE(run_fabric_scan(cfg).ok);
 }
 
@@ -332,7 +331,7 @@ Message await_message(LoopbackFabric& fabric, MsgType want) {
 }
 
 struct ManualWorker {
-  LoopbackFabric fabric{1, nullptr};
+  LoopbackFabric fabric{1};
   WorkerConfig cfg;
   std::vector<topo::IspSpec> specs = topo::paper::isp_specs();
   std::vector<topo::VendorProfile> vendors = topo::paper::vendor_catalog();
@@ -432,10 +431,8 @@ TEST(FabricWorkerRefusal, TornResumeCursorRefusedWithDiagnostic) {
 TEST(Fabric, AllNodesDeadFailsCleanly) {
   auto cfg = make_config(2);
   cfg.checkpoint_interval_targets = 64;
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{0, 300, /*close_transport=*/true});
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{1, 300, /*close_transport=*/true});
+  cfg.kills.push_back(NodeKill{0, 300, /*close_transport=*/true});
+  cfg.kills.push_back(NodeKill{1, 300, /*close_transport=*/true});
   auto result = run_fabric_scan(cfg);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(result.failed);

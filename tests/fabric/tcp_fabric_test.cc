@@ -8,13 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
-#include <utility>
 
+#include "chaos_route.h"
 #include "engine/executor.h"
 #include "fabric/chaos_proxy.h"
 #include "fabric/coordinator.h"
@@ -71,26 +71,6 @@ void expect_unique_slots(const FabricResult& result) {
         << "shard " << rec.shard << " slot " << rec.raw_slot
         << " appears twice";
   }
-}
-
-// Routes one worker's connection through a chaos proxy (the proxy targets
-// the coordinator's actual bound address, discovered at tweak time).
-void route_node_through_proxy(FabricConfig& cfg, int node,
-                              ChaosProxyOptions proxy_opts,
-                              std::unique_ptr<ChaosProxy>& proxy,
-                              std::function<void(TcpWorkerOptions&)> extra =
-                                  {}) {
-  cfg.tcp_worker_tweak = [&proxy, node, proxy_opts = std::move(proxy_opts),
-                          extra = std::move(extra)](
-                             int n, TcpWorkerOptions& opts) mutable {
-    if (n != node) return;
-    proxy_opts.upstream = opts.connect_address;
-    std::string error;
-    proxy = ChaosProxy::create(std::move(proxy_opts), error);
-    ASSERT_NE(proxy, nullptr) << error;
-    opts.connect_address = proxy->address();
-    if (extra) extra(opts);
-  };
 }
 
 // --- Address parsing and socket setup --------------------------------------
@@ -212,6 +192,39 @@ TEST(TcpTransport, RefusalLatchesDiagnosticAndFencesWorker) {
   fabric->close_all();
 }
 
+// A relay that keeps accepting after its upstream is gone — the chaos proxy
+// outliving its coordinator — drops every reconnect before the handshake
+// completes. Those drops must not restart the reconnect window: the
+// transport latches closed once the window has passed since the first drop
+// instead of reconnecting forever (which left an idle worker thread, and
+// the run joining it, hung).
+TEST(TcpTransport, ReconnectWindowEndsWhenRelayAcceptsButUpstreamIsGone) {
+  using Clock = std::chrono::steady_clock;
+  ChaosProxyOptions popts;
+  popts.upstream = "127.0.0.1:1";  // reserved, nothing listens
+  std::string error;
+  auto proxy = ChaosProxy::create(popts, error);
+  ASSERT_NE(proxy, nullptr) << error;
+  TcpWorkerOptions opts;
+  opts.connect_address = proxy->address();
+  opts.worker = 0;
+  opts.reconnect_window_ms = 200;
+  const auto start = Clock::now();
+  auto wt = TcpWorkerTransport::create(opts, error);
+  ASSERT_NE(wt, nullptr) << error;
+
+  const auto deadline = start + std::chrono::seconds(5);
+  RecvStatus status = RecvStatus::kTimeout;
+  while (status != RecvStatus::kClosed && Clock::now() < deadline) {
+    status = wt->recv(50).status;
+  }
+  const auto elapsed = Clock::now() - start;
+  proxy->stop();
+  EXPECT_EQ(status, RecvStatus::kClosed)
+      << "still reconnecting through the relay after 5 s";
+  EXPECT_GE(elapsed, std::chrono::milliseconds(opts.reconnect_window_ms));
+}
+
 // --- Clean byte identity ---------------------------------------------------
 
 // The tentpole acceptance: over real sockets the merged output is
@@ -267,8 +280,7 @@ TEST(TcpFabric, KillAndMigrateIsByteIdentical) {
 
   auto cfg = make_tcp_config(4);
   cfg.checkpoint_interval_targets = 64;
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{1, 600, /*close_transport=*/true});
+  cfg.kills.push_back(NodeKill{1, 600, /*close_transport=*/true});
   std::ostringstream log;
   cfg.log = &log;
   auto result = run_fabric_scan(cfg);
@@ -287,8 +299,7 @@ TEST(TcpFabric, SilentCrashHalfOpenSocketFailsOver) {
   ASSERT_TRUE(reference.ok) << reference.error;
 
   auto cfg = make_tcp_config(3);
-  cfg.fabric_faults.kills.push_back(
-      sim::FabricFaultPlan::Kill{2, 400, /*close_transport=*/false});
+  cfg.kills.push_back(NodeKill{2, 400, /*close_transport=*/false});
   auto result = run_fabric_scan(cfg);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_FALSE(result.failed);
@@ -492,15 +503,6 @@ TEST(TcpFabric, ZombieRejoinRefusedWithStaleEpoch) {
 }
 
 // --- Config validation -----------------------------------------------------
-
-TEST(TcpFabric, RefusesLoopbackMessageFaults) {
-  auto cfg = make_tcp_config(2);
-  cfg.fabric_faults.messages.duplicate = 0.5;
-  auto result = run_fabric_scan(cfg);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("chaos proxy"), std::string::npos)
-      << result.error;
-}
 
 TEST(TcpFabric, BindFailureFailsRunNamingAddressAndErrno) {
   auto cfg = make_tcp_config(1);

@@ -112,10 +112,6 @@ TEST(Cli, FabricTransportFlags) {
       parse({"--fabric-listen", "127.0.0.1:1"}).options.has_value());
   EXPECT_FALSE(
       parse({"--fabric-connect", "127.0.0.1:1"}).options.has_value());
-  // Loopback message faults are the other substrate's tool.
-  EXPECT_FALSE(parse({"--fabric-nodes", "2", "--fabric-transport", "tcp",
-                      "--fabric-duplicate", "0.5"})
-                   .options.has_value());
   // Seeded kills stay valid over tcp (the crash is in the worker).
   EXPECT_TRUE(parse({"--fabric-nodes", "2", "--fabric-transport", "tcp",
                      "--kill-node-at", "1:500"})

@@ -431,7 +431,7 @@ int main(int argc, char** argv) {
     fcfg.module = module.module.get();
     fcfg.scan = cfg;
     fcfg.faults = fault_plan;
-    fcfg.fabric_faults = opts.fabric_faults;
+    fcfg.kills = opts.fabric_kills;
     fcfg.nodes = opts.fabric_nodes;
     fcfg.shards = opts.fabric_shards;
     if (opts.checkpoint_interval != 0) {
