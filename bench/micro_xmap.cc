@@ -12,6 +12,7 @@
 #include "bench/common.h"
 #include "netbase/checksum.h"
 #include "netbase/random.h"
+#include "tests/support/checksum_reference.h"
 #include "topology/routing_table.h"
 #include "xmap/cyclic_group.h"
 #include "xmap/probe_module.h"
@@ -243,8 +244,8 @@ void write_bench_json() {
         const std::span<const std::uint8_t> s{rbuf.data() + off, len};
         const std::uint16_t fast =
             net::checksum_finish(net::checksum_accumulate(s));
-        const std::uint16_t ref =
-            net::checksum_finish(net::checksum_accumulate_reference(s));
+        const std::uint16_t ref = net::checksum_finish(
+            test_support::checksum_accumulate_reference(s));
         if (fast != ref) {
           std::fprintf(stderr,
                        "checksum SIMD/reference mismatch off=%zu len=%zu\n",

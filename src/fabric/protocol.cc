@@ -51,6 +51,7 @@ void put_stats(std::string& out, const scan::ScanStats& s) {
   put_u64(out, s.corrupted);
   put_u64(out, s.late);
   put_u64(out, s.rate_adjustments);
+  put_u64(out, s.provenance_misses);
   put_u64(out, s.first_send);
   put_u64(out, s.last_send);
 }
@@ -224,6 +225,7 @@ bool read_stats(Reader& in, scan::ScanStats& s) {
          in.read_u64(s.duplicates, "stats") &&
          in.read_u64(s.corrupted, "stats") && in.read_u64(s.late, "stats") &&
          in.read_u64(s.rate_adjustments, "stats") &&
+         in.read_u64(s.provenance_misses, "stats") &&
          in.read_u64(s.first_send, "stats") &&
          in.read_u64(s.last_send, "stats");
 }

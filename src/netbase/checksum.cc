@@ -158,17 +158,6 @@ std::uint32_t checksum_accumulate(std::span<const std::uint8_t> data,
   return accumulate_words(data, acc);
 }
 
-std::uint32_t checksum_accumulate_reference(std::span<const std::uint8_t> data,
-                                            std::uint32_t acc) {
-  std::uint64_t sum = acc;
-  std::size_t i = 0;
-  for (; i + 1 < data.size(); i += 2) {
-    sum += static_cast<std::uint64_t>(data[i]) << 8 | data[i + 1];
-  }
-  if (i < data.size()) sum += static_cast<std::uint64_t>(data[i]) << 8;
-  return fold64(sum);
-}
-
 std::uint16_t checksum_finish(std::uint32_t acc) {
   while (acc >> 16) acc = (acc & 0xffff) + (acc >> 16);
   return static_cast<std::uint16_t>(~acc & 0xffff);

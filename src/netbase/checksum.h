@@ -18,12 +18,6 @@ namespace xmap::net {
 [[nodiscard]] std::uint32_t checksum_accumulate(std::span<const std::uint8_t> data,
                                                 std::uint32_t acc = 0);
 
-// Byte-pair RFC 1071 reference: no word tricks, no carry shortcuts, no
-// SIMD. The ground truth the property tests (and the SIMD equality asserts
-// in the micro bench) compare against.
-[[nodiscard]] std::uint32_t checksum_accumulate_reference(
-    std::span<const std::uint8_t> data, std::uint32_t acc = 0);
-
 // Folds the accumulator and returns the ones-complement checksum.
 [[nodiscard]] std::uint16_t checksum_finish(std::uint32_t acc);
 

@@ -1,7 +1,7 @@
 // Open-addressed hash map/set keyed by pre-mixed 64-bit keys.
 //
 // The scanner's per-probe bookkeeping (first-send times for the RTT
-// histogram, slot-by-address for the engine merge, response dedup) lives on
+// histogram, probe provenance for the engine merge, response dedup) lives on
 // the packet hot path and only ever inserts and looks up — never erases.
 // node-based std::unordered_map pays an allocation and a pointer chase per
 // operation there; measured on the observability_overhead bench that was
@@ -16,6 +16,7 @@
 // dedicated side slot, since 0 marks an empty bucket in the array.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -72,6 +73,14 @@ class FlatHash64 {
     return size_ + (has_zero_ ? 1 : 0);
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
+
+  // Empties the table but keeps its buckets: no allocation, so a table
+  // recycled this way stays on the heap-free steady-state path.
+  void reset() {
+    std::fill(keys_.begin(), keys_.end(), std::uint64_t{0});
+    size_ = 0;
+    has_zero_ = false;
+  }
 
   void clear() {
     keys_.clear();

@@ -1,7 +1,7 @@
 #include "netbase/ipv6.h"
 
+#include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <vector>
 
 namespace xmap::net {
@@ -48,6 +48,24 @@ std::optional<std::pair<std::uint16_t, std::uint16_t>> parse_v4_tail(
   }
   return std::pair{static_cast<std::uint16_t>((oct[0] << 8) | oct[1]),
                    static_cast<std::uint16_t>((oct[2] << 8) | oct[3])};
+}
+
+// One group in lowercase hex without leading zeros (RFC 5952 §4.1).
+char* put_hex_group(char* out, unsigned g) {
+  constexpr char kHex[] = "0123456789abcdef";
+  if (g >= 0x1000) *out++ = kHex[g >> 12];
+  if (g >= 0x100) *out++ = kHex[(g >> 8) & 0xf];
+  if (g >= 0x10) *out++ = kHex[(g >> 4) & 0xf];
+  *out++ = kHex[g & 0xf];
+  return out;
+}
+
+// One dotted-quad octet in decimal.
+char* put_decimal_octet(char* out, unsigned v) {
+  if (v >= 100) *out++ = static_cast<char>('0' + v / 100);
+  if (v >= 10) *out++ = static_cast<char>('0' + v / 10 % 10);
+  *out++ = static_cast<char>('0' + v % 10);
+  return out;
 }
 
 }  // namespace
@@ -135,24 +153,29 @@ std::optional<Ipv6Address> Ipv6Address::parse(std::string_view text) {
   return Ipv6Address{b};
 }
 
-std::string Ipv6Address::to_string() const {
+char* Ipv6Address::format_to(char* out) const {
+  std::uint16_t g[8];
+  for (int i = 0; i < 8; ++i) g[i] = group(i);
   // RFC 5952 §5: IPv4-mapped addresses render with a dotted-quad tail.
-  if (group(0) == 0 && group(1) == 0 && group(2) == 0 && group(3) == 0 &&
-      group(4) == 0 && group(5) == 0xffff) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "::ffff:%u.%u.%u.%u", byte(12), byte(13),
-                  byte(14), byte(15));
-    return std::string{buf};
+  if (g[0] == 0 && g[1] == 0 && g[2] == 0 && g[3] == 0 && g[4] == 0 &&
+      g[5] == 0xffff) {
+    constexpr std::string_view kMapped = "::ffff:";
+    out = std::copy(kMapped.begin(), kMapped.end(), out);
+    for (int i = 12; i < 16; ++i) {
+      if (i > 12) *out++ = '.';
+      out = put_decimal_octet(out, byte(i));
+    }
+    return out;
   }
   // Find the longest run of zero groups (length >= 2), leftmost on ties.
   int best_start = -1, best_len = 0;
   for (int i = 0; i < 8;) {
-    if (group(i) != 0) {
+    if (g[i] != 0) {
       ++i;
       continue;
     }
     int j = i;
-    while (j < 8 && group(j) == 0) ++j;
+    while (j < 8 && g[j] == 0) ++j;
     if (j - i > best_len) {
       best_start = i;
       best_len = j - i;
@@ -161,20 +184,23 @@ std::string Ipv6Address::to_string() const {
   }
   if (best_len < 2) best_start = -1;
 
-  std::string out;
-  out.reserve(40);
   for (int i = 0; i < 8; ++i) {
     if (i == best_start) {
-      out += "::";
+      *out++ = ':';
+      *out++ = ':';
       i += best_len - 1;  // loop increment lands on the group after the run
       continue;
     }
-    if (!out.empty() && out.back() != ':') out += ':';
-    char g[8];
-    std::snprintf(g, sizeof g, "%x", group(i));
-    out += g;
+    // A separator between groups, except right after "::".
+    if (i > 0 && i != best_start + best_len) *out++ = ':';
+    out = put_hex_group(out, g[i]);
   }
   return out;
+}
+
+std::string Ipv6Address::to_string() const {
+  char buf[kMaxTextLength];
+  return std::string(buf, format_to(buf));
 }
 
 std::optional<Ipv6Prefix> Ipv6Prefix::parse(std::string_view text) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -24,20 +25,17 @@ class Ipv6Address {
       : b_(bytes) {}
 
   // Builds from the numeric value (big-endian: bit 127 of `v` is the first
-  // bit on the wire).
+  // bit on the wire): each 64-bit half is byte-swapped into place in one
+  // step, at run time and in constant evaluation alike.
   static constexpr Ipv6Address from_value(Uint128 v) {
-    std::array<std::uint8_t, 16> b{};
-    for (int i = 15; i >= 0; --i) {
-      b[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v.to_u64() & 0xff);
-      v >>= 8;
-    }
-    return Ipv6Address{b};
+    const std::array<std::uint64_t, 2> words{to_big_endian(v.hi()),
+                                             to_big_endian(v.lo())};
+    return Ipv6Address{std::bit_cast<std::array<std::uint8_t, 16>>(words)};
   }
 
   [[nodiscard]] constexpr Uint128 value() const {
-    Uint128 v{};
-    for (std::uint8_t byte : b_) v = (v << 8) | Uint128{byte};
-    return v;
+    const auto words = std::bit_cast<std::array<std::uint64_t, 2>>(b_);
+    return Uint128{to_big_endian(words[0]), to_big_endian(words[1])};
   }
 
   [[nodiscard]] constexpr const std::array<std::uint8_t, 16>& bytes() const {
@@ -75,7 +73,13 @@ class Ipv6Address {
 
   // Parses any RFC 4291 text form; nullopt on malformed input.
   [[nodiscard]] static std::optional<Ipv6Address> parse(std::string_view text);
-  // RFC 5952 canonical text form.
+  // Longest RFC 5952 text: eight four-digit groups and seven colons.
+  static constexpr std::size_t kMaxTextLength = 39;
+  // Writes the RFC 5952 canonical text form to `out` (which must hold
+  // kMaxTextLength chars) and returns one past the last char written; no
+  // terminator, no allocation. The repo's one address formatter.
+  char* format_to(char* out) const;
+  // RFC 5952 canonical text form (format_to into a std::string).
   [[nodiscard]] std::string to_string() const;
 
   friend constexpr bool operator==(const Ipv6Address&, const Ipv6Address&) =
@@ -86,6 +90,13 @@ class Ipv6Address {
   }
 
  private:
+  // A 64-bit word between host and network (big-endian) byte order; the
+  // swap is its own inverse.
+  static constexpr std::uint64_t to_big_endian(std::uint64_t w) {
+    if constexpr (std::endian::native == std::endian::big) return w;
+    return __builtin_bswap64(w);
+  }
+
   std::array<std::uint8_t, 16> b_{};
 };
 

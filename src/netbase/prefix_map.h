@@ -14,8 +14,8 @@
 // single-bit steps. Values on levels a stride jumps over are pushed into
 // the jump table entries, keeping longest-prefix semantics exact (the
 // equivalence property test in tests/topology/lc_trie_test.cc checks every
-// lookup against the plain binary-trie walk). The index compiles lazily on
-// first lookup — or eagerly via compile() — and any insert/erase
+// lookup against an exact-match-per-length reference). The index compiles
+// lazily on first lookup — or eagerly via compile() — and any insert/erase
 // invalidates it; its arrays ride the thread-local BytePool so a mid-scan
 // compile recycles pool blocks instead of hitting the heap.
 #pragma once
@@ -80,22 +80,6 @@ class PrefixMap {
       if (e.node < 0) break;
       depth += n.stride;
       idx = static_cast<std::size_t>(e.node);
-    }
-    return best < 0 ? nullptr : &values_[static_cast<std::size_t>(best)];
-  }
-
-  // The reference single-bit walk the LC-trie must agree with (kept for the
-  // equivalence property test; not used on the forwarding path).
-  [[nodiscard]] const T* lookup_linear(const Ipv6Address& addr) const {
-    const Uint128 bits = addr.value();
-    std::size_t node = 0;
-    std::int32_t best = nodes_[0].value;
-    for (int depth = 0; depth < 128; ++depth) {
-      const int b = bits.bit(127 - depth) ? 1 : 0;
-      const std::int32_t next = nodes_[node].child[b];
-      if (next < 0) break;
-      node = static_cast<std::size_t>(next);
-      if (nodes_[node].value >= 0) best = nodes_[node].value;
     }
     return best < 0 ? nullptr : &values_[static_cast<std::size_t>(best)];
   }

@@ -138,7 +138,7 @@ std::string StoreBuilder::serialize() {
   header.block_count = index.size();
   header.record_count = merged.size();
   header.config_fingerprint = config_fingerprint_;
-  const std::string sha = git_sha_.empty() ? current_git_sha() : git_sha_;
+  const std::string& sha = git_sha_.empty() ? current_git_sha() : git_sha_;
   for (std::size_t i = 0; i < header.git_sha.size() && i < sha.size(); ++i) {
     header.git_sha[i] = sha[i];
   }
@@ -183,20 +183,23 @@ bool StoreBuilder::write(const std::string& path, std::string* error) {
   return recover::write_file_atomic(path, serialize(), error);
 }
 
-std::string current_git_sha() {
-  if (const char* env = std::getenv("GITHUB_SHA")) return env;
-  std::string sha = "unknown";
-  if (std::FILE* p = ::popen("git rev-parse HEAD 2>/dev/null", "r")) {
-    char buf[64] = {};
-    if (std::fgets(buf, sizeof buf, p) != nullptr) {
-      std::string s{buf};
-      while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) {
-        s.pop_back();
+const std::string& current_git_sha() {
+  static const std::string sha = [] {
+    if (const char* env = std::getenv("GITHUB_SHA")) return std::string{env};
+    std::string resolved = "unknown";
+    if (std::FILE* p = ::popen("git rev-parse HEAD 2>/dev/null", "r")) {
+      char buf[64] = {};
+      if (std::fgets(buf, sizeof buf, p) != nullptr) {
+        std::string s{buf};
+        while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) {
+          s.pop_back();
+        }
+        if (!s.empty()) resolved = s;
       }
-      if (!s.empty()) sha = s;
+      ::pclose(p);
     }
-    ::pclose(p);
-  }
+    return resolved;
+  }();
   return sha;
 }
 

@@ -61,8 +61,10 @@ class StoreBuilder {
 };
 
 // The source revision to stamp into headers: $GITHUB_SHA, else
-// `git rev-parse HEAD`, else "unknown". Stable across invocations on one
-// checkout, so it never breaks producer byte-identity.
-[[nodiscard]] std::string current_git_sha();
+// `git rev-parse HEAD`, else "unknown". Resolved on the first call and
+// kept for the life of the process (serialize() runs once per export, and
+// spawning git each time cost more than the encode). Stable across
+// invocations on one checkout, so it never breaks producer byte-identity.
+[[nodiscard]] const std::string& current_git_sha();
 
 }  // namespace xmap::store

@@ -36,7 +36,12 @@ struct ScanCursor {
 // that saw it; `shard` is the permutation sub-shard that produced it (the
 // engine's worker index, the fabric's shard index — the same sub-shard
 // when equal); `raw_slot` is the global permutation slot of the probe that
-// elicited it (checkpoint and failover provenance).
+// elicited it (checkpoint and failover provenance). The scanner keeps the
+// slots of the targets it drew within the response horizon
+// (kStableHorizonNs plus the retransmit tail, the window periodic
+// checkpoints and failover already assume), so raw_slot is exact for
+// every response arriving within it; a later one carries kNoBudgetCut
+// and counts as a provenance miss (ScanStats::provenance_misses).
 struct ScanRecord {
   ProbeResponse response;
   sim::SimTime when = 0;

@@ -216,7 +216,25 @@ void SimChannelScanner::start() {
     // Responses can outnumber targets (routers answer for silent hosts),
     // so the dedup set gets double headroom.
     seen_responses_.reserve(2 * per_shard);
-    if (track_slots_) slot_by_addr_.reserve(per_shard);
+    if (track_slots_) {
+      // Provenance window (see slot_generation_): the settle time in slots
+      // plus two draw blocks — a block is drawn while the previous one's
+      // sweep dispatches, so a draw runs at most that far ahead of the
+      // event stamp that bounds what has been delivered.
+      const std::uint64_t width =
+          settle_ns() / (static_cast<std::uint64_t>(copies_) * gap_ns_) + 1 +
+          2 * kFreshBatch * shards;
+      if (!config_.adaptive_rate && width < span) {
+        slot_generation_ = width;
+        next_generation_slot_ = width;
+        const std::size_t per_generation = static_cast<std::size_t>(
+            std::min<std::uint64_t>(width / shards + 2, per_shard));
+        slots_current_.reserve(per_generation);
+        slots_previous_.reserve(per_generation);
+      } else {
+        slots_current_.reserve(per_shard);
+      }
+    }
     if (track_rtt_ && !rtt_from_slots_) first_send_.reserve(per_shard);
   }
 
@@ -244,11 +262,11 @@ void SimChannelScanner::on_timer(std::uint64_t tag) {
       const net::Ipv6Address target = pending_[slot].target;
       if (--pending_[slot].live_copies == 0) pending_.release(slot);
       send_copy(target, static_cast<int>(copy));
-      if (copy == 0) schedule_fresh();
+      if (copy == 0) schedule_fresh(network()->now());
       break;
     }
     default:
-      schedule_fresh();
+      schedule_fresh(network()->now());
   }
 }
 
@@ -339,7 +357,6 @@ bool SimChannelScanner::draw_fresh(net::Ipv6Address& out,
     e.i0 = {"raw_slot", raw_slot};
     trace_->add(e);
   }
-  if (track_slots_) slot_by_addr_.insert(addr_key(out), raw_slot);
   if (checkpoint_hook_ && checkpoint_every_ != 0 && !config_.adaptive_rate &&
       ++targets_since_checkpoint_ >= checkpoint_every_) {
     targets_since_checkpoint_ = 0;
@@ -348,7 +365,7 @@ bool SimChannelScanner::draw_fresh(net::Ipv6Address& out,
   return true;
 }
 
-void SimChannelScanner::schedule_fresh() {
+void SimChannelScanner::schedule_fresh(sim::SimTime settled) {
   obs::ScopedStageTimer timer{profile_, obs::Stage::kGenerate};
 
   net::Ipv6Address target;
@@ -360,6 +377,7 @@ void SimChannelScanner::schedule_fresh() {
       maybe_finish_sending();
       return;
     }
+    if (track_slots_) remember_slots(&target, &raw_slot, 1, settled);
     // Load-driven pacing: fresh probes are spaced (1+retries) slots of the
     // *current* rate apart; retransmits ride at fixed offsets after their
     // fresh copy. Aggregate stays below current_pps_.
@@ -403,6 +421,9 @@ void SimChannelScanner::schedule_fresh() {
     ++blk.count;
     pending_sends_ += static_cast<std::uint64_t>(copies_);
   }
+  if (track_slots_) {
+    remember_slots(blk.targets, blk.raw_slots, blk.count, settled);
+  }
   if (blk.count == 0) {
     blocks_.release(bidx);
     maybe_finish_sending();
@@ -434,6 +455,7 @@ void SimChannelScanner::run_sweep(std::uint32_t bidx, std::uint32_t copy,
   // The first item's key was the queue minimum, so it always goes. Every
   // send is stamped with its analytic slot time.
   sim::SimTime tc = copy_time(blk.raw_slots[idx], copy);
+  const sim::SimTime settled = tc;
   for (;;) {
     loop.set_time(tc);
     send_copy(blk.targets[idx], static_cast<int>(copy));
@@ -451,7 +473,7 @@ void SimChannelScanner::run_sweep(std::uint32_t bidx, std::uint32_t copy,
   // schedule_fresh may grow blocks_, invalidating `blk`.
   const bool rearm = blk.rearm && copy == 0;
   if (--blk.live_copies == 0) blocks_.release(bidx);
-  if (rearm) schedule_fresh();
+  if (rearm) schedule_fresh(settled);
 }
 
 std::uint64_t SimChannelScanner::frontier_slot() const {
@@ -497,6 +519,55 @@ ScanCursor SimChannelScanner::cursor_at_slot(std::uint64_t slot) const {
   return cursor;
 }
 
+sim::SimTime SimChannelScanner::settle_ns() const {
+  const std::uint64_t tail_slots =
+      static_cast<std::uint64_t>(copies_ - 1) *
+      (spacing_periods_ * static_cast<std::uint64_t>(copies_) + 1);
+  return tail_slots * gap_ns_ + kStableHorizonNs;
+}
+
+void SimChannelScanner::remember_slots(const net::Ipv6Address* targets,
+                                       const std::uint64_t* raw_slots,
+                                       std::uint32_t count,
+                                       sim::SimTime settled) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (raw_slots[i] >= next_generation_slot_) {
+      rotate_slots(raw_slots[i], settled);
+    }
+    slots_current_.insert(addr_key(targets[i]), raw_slots[i]);
+    current_max_slot_ = raw_slots[i];
+  }
+}
+
+void SimChannelScanner::rotate_slots(std::uint64_t raw_slot,
+                                     sim::SimTime settled) {
+  // Dropping the previous generation is safe once its last slot has
+  // settled: every response to it was stamped before `settled`, so it has
+  // been delivered and looked up. Until then the current table keeps
+  // taking inserts (it only happens after a gap of blocklisted or
+  // out-of-range slots, and costs a table growth, never a wrong slot).
+  if (!slots_previous_.empty() &&
+      slot_time(previous_max_slot_) + settle_ns() >= settled) {
+    return;
+  }
+  std::swap(slots_current_, slots_previous_);
+  slots_current_.reset();
+  previous_max_slot_ = current_max_slot_;
+  next_generation_slot_ =
+      (raw_slot / slot_generation_ + 1) * slot_generation_;
+}
+
+std::uint64_t SimChannelScanner::probe_slot(const net::Ipv6Address& probe_dst) {
+  const std::uint64_t key = addr_key(probe_dst);
+  // The previous generation first: a target drawn twice keeps its first
+  // slot, as a single table's keep-first insert would.
+  const std::uint64_t* slot = slots_previous_.find(key);
+  if (slot == nullptr) slot = slots_current_.find(key);
+  if (slot != nullptr) return *slot;
+  ++stats_.provenance_misses;
+  return kNoBudgetCut;
+}
+
 ScanCursor SimChannelScanner::stable_cursor() const {
   // The last retransmit copy of fresh slot q fires at
   //   (q*copies + (copies-1)*(spacing_periods*copies+1)) * gap.
@@ -504,15 +575,11 @@ ScanCursor SimChannelScanner::stable_cursor() const {
   // the past; everything at or below it has completed its lifecycle.
   // Slot times count from origin_.
   const sim::SimTime now = network()->now() - origin_;
-  const std::uint64_t tail_slots =
-      static_cast<std::uint64_t>(copies_ - 1) *
-      (spacing_periods_ * static_cast<std::uint64_t>(copies_) + 1);
-  const sim::SimTime tail_ns = tail_slots * gap_ns_;
+  const sim::SimTime settle = settle_ns();
   std::uint64_t frontier = 0;
-  if (now > kStableHorizonNs + tail_ns) {
-    const sim::SimTime budget = now - kStableHorizonNs - tail_ns;
+  if (now > settle) {
     frontier =
-        budget / (static_cast<std::uint64_t>(copies_) * gap_ns_) + 1;
+        (now - settle) / (static_cast<std::uint64_t>(copies_) * gap_ns_) + 1;
   }
   frontier = std::min(frontier, frontier_slot());
   return cursor_at_slot(frontier);
@@ -692,12 +759,8 @@ void SimChannelScanner::receive(pkt::Bytes packet, int /*iface*/) {
   if (progress_ != nullptr) {
     progress_->validated.fetch_add(1, std::memory_order_relaxed);
   }
-  std::uint64_t raw_slot = kNoBudgetCut;
-  if (track_slots_) {
-    const std::uint64_t* slot =
-        slot_by_addr_.find(addr_key(response->probe_dst));
-    if (slot != nullptr) raw_slot = *slot;
-  }
+  const std::uint64_t raw_slot =
+      track_slots_ ? probe_slot(response->probe_dst) : kNoBudgetCut;
   sim::SimTime rtt = 0;
   bool have_rtt = false;
   if (track_rtt_) {

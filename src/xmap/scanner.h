@@ -109,9 +109,12 @@ class SimChannelScanner : public sim::Node {
   using ResponseCallback =
       std::function<void(const ProbeResponse&, sim::SimTime)>;
   // Slot-aware variant: the third argument is the global raw-cycle slot of
-  // the probe the response answers (kNoBudgetCut when unknown — a response
-  // to an address this scanner never drew). Checkpointing consumers need
-  // the slot to filter records by probe provenance.
+  // the probe the response answers. Checkpointing consumers need the slot
+  // to filter records by probe provenance. It is exact for every response
+  // that arrives within the response horizon after the probe's last copy
+  // (the horizon stable_cursor() assumes); a response to an address this
+  // scanner never drew, or one arriving later than the provenance window
+  // keeps, gets kNoBudgetCut and counts in ScanStats::provenance_misses.
   using SlottedResponseCallback =
       std::function<void(const ProbeResponse&, sim::SimTime, std::uint64_t)>;
   // Invoked with a stable resume cursor every `checkpoint_interval`
@@ -172,7 +175,6 @@ class SimChannelScanner : public sim::Node {
   // True when the scan stopped early because of a shutdown request (flag
   // or shutdown_at_raw_slot), after draining in-flight copies.
   [[nodiscard]] bool interrupted() const { return interrupted_; }
-
   // The exact current permutation position (meaningful once the scanner is
   // quiescent — after Network::run() returns — when every drawn target's
   // lifecycle has completed).
@@ -212,7 +214,9 @@ class SimChannelScanner : public sim::Node {
   // The deterministic-pacing path pulls a block of kFreshBatch permutation
   // draws per invocation (send times are pure slot functions, so batching
   // is invisible on the wire); adaptive_rate draws one at a time.
-  void schedule_fresh();
+  // `settled` is the stamp of the event being dispatched: every packet
+  // stamped earlier has been delivered (trains only ever run ahead).
+  void schedule_fresh(sim::SimTime settled);
   void send_copy(const net::Ipv6Address& target, int copy);
   void maybe_finish_sending();
   // Sends a block's copy-`copy` sends from target `idx` on, each stamped
@@ -248,6 +252,19 @@ class SimChannelScanner : public sim::Node {
                          gap_ns_);
   }
   void adapt_rate();
+  // Sim time from a target's copy-0 send until every response to it has
+  // arrived: its retransmit tail plus the response horizon. Bounds both
+  // stable_cursor() and the provenance window.
+  [[nodiscard]] sim::SimTime settle_ns() const;
+  // Records the raw slots of `count` drawn targets as probe provenance.
+  void remember_slots(const net::Ipv6Address* targets,
+                      const std::uint64_t* raw_slots, std::uint32_t count,
+                      sim::SimTime settled);
+  // Opens the generation of `raw_slot` (at or past next_generation_slot_)
+  // if the previous one has settled.
+  void rotate_slots(std::uint64_t raw_slot, sim::SimTime settled);
+  // The raw slot of the drawn target `probe_dst`, or kNoBudgetCut (a miss).
+  [[nodiscard]] std::uint64_t probe_slot(const net::Ipv6Address& probe_dst);
   [[nodiscard]] std::uint64_t frontier_slot() const;
   [[nodiscard]] ScanCursor cursor_at_slot(std::uint64_t slot) const;
 
@@ -322,9 +339,12 @@ class SimChannelScanner : public sim::Node {
   // RTT measurement for the histogram and response_validated spans. Under
   // deterministic slot pacing the first-copy send time is a pure function
   // of the target's raw slot (raw_slot * copies * gap), so it is derived
-  // from the slot_by_addr_ lookup the slotted callback already pays for —
+  // from the provenance lookup the slotted callback already pays for —
   // no extra per-probe bookkeeping. Only adaptive_rate, where send times
-  // are load-dependent, records them in first_send_.
+  // are load-dependent, records them in first_send_. A response past the
+  // provenance window (a miss, see slots_current_) therefore has no RTT:
+  // the histogram skips it and its response_validated span has no
+  // duration.
   bool track_rtt_ = false;
   bool rtt_from_slots_ = false;
   net::FlatHash64<sim::SimTime> first_send_;
@@ -358,8 +378,23 @@ class SimChannelScanner : public sim::Node {
 
   // Probe provenance for slotted callbacks: addr-key -> raw slot of the
   // drawn target (populated only when a slotted callback is installed).
+  // A response arrives within settle_ns() of its probe's copy-0 send, so
+  // only the targets drawn in that window need keeping: a generation is
+  // slot_generation_ raw slots (the settle time at the configured rate
+  // plus two draw blocks of slack), and two generations live at once.
+  // The older one is dropped only once its last slot has settled, so the
+  // lookup is exact for any response within the horizon.
+  // next_generation_slot_ stays at its all-ones sentinel — one table for
+  // the whole scan, the second never allocated — when the window covers
+  // the shard's whole span, or under adaptive_rate (no analytic send
+  // schedule).
   bool track_slots_ = false;
-  net::FlatHash64<std::uint64_t> slot_by_addr_;
+  std::uint64_t slot_generation_ = 0;
+  std::uint64_t next_generation_slot_ = ~std::uint64_t{0};
+  std::uint64_t current_max_slot_ = 0;
+  std::uint64_t previous_max_slot_ = 0;
+  net::FlatHash64<std::uint64_t> slots_current_;
+  net::FlatHash64<std::uint64_t> slots_previous_;
 
   // Periodic checkpointing.
   std::uint64_t checkpoint_every_ = 0;

@@ -30,6 +30,14 @@ struct ScanStats {
   std::uint64_t corrupted = 0;    // malformed on the wire (bad checksum/len)
   std::uint64_t late = 0;         // arrived after the cooldown closed
   std::uint64_t rate_adjustments = 0;  // adaptive-rate controller steps
+  // Validated responses whose probe was no longer in the scanner's probe
+  // provenance window (see SimChannelScanner::SlottedResponseCallback):
+  // reported with raw_slot kNoBudgetCut and without an RTT sample, so the
+  // icmp_rtt_sim_ns histogram counts validated - provenance_misses. 0 on
+  // every scan whose responses arrive within the response horizon. Carried
+  // in fabric frames; not in checkpoint files (a resumed run counts its
+  // own).
+  std::uint64_t provenance_misses = 0;
   sim::SimTime first_send = 0;
   sim::SimTime last_send = 0;
 
@@ -57,6 +65,7 @@ struct ScanStats {
     corrupted += other.corrupted;
     late += other.late;
     rate_adjustments += other.rate_adjustments;
+    provenance_misses += other.provenance_misses;
     if (other_active) {
       if (!self_active) {
         first_send = other.first_send;

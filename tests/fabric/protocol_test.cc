@@ -134,6 +134,7 @@ TEST(FabricProtocol, RoundTripsEveryMessageType) {
   done.epoch = 1;
   done.stats.sent = 480;
   done.stats.targets_generated = 480;
+  done.stats.provenance_misses = 3;
   expect_roundtrip(done);
 
   Message bye;

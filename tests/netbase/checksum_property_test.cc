@@ -8,9 +8,12 @@
 
 #include "netbase/checksum.h"
 #include "netbase/random.h"
+#include "tests/support/checksum_reference.h"
 
 namespace xmap::net {
 namespace {
+
+using test_support::checksum_accumulate_reference;
 
 // Byte-pair RFC 1071 reference: no word tricks, no carry shortcuts.
 std::uint16_t naive_checksum(std::span<const std::uint8_t> data) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdio>
+#include <string>
+#include <utility>
+
 #include "netbase/random.h"
 
 namespace xmap::net {
@@ -128,6 +134,166 @@ TEST(Ipv6Address, ValueRoundTrip) {
   EXPECT_EQ(a->value().lo(), 0x9abcdef013572468ULL);
   EXPECT_EQ(a->prefix64(), 0x20010db812345678ULL);
   EXPECT_EQ(a->iid(), 0x9abcdef013572468ULL);
+}
+
+// Golden RFC 5952 text for every formatting rule, through both entry
+// points (to_string is a wrapper over format_to).
+TEST(Ipv6Address, FormatToGoldenStrings) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"0:0:0:0:0:0:0:0", "::"},
+      {"0:0:0:0:0:0:0:1", "::1"},
+      {"0:0:0:0:0:ffff:c000:0280", "::ffff:192.0.2.128"},
+      {"::ffff:0.0.0.0", "::ffff:0.0.0.0"},
+      {"::ffff:255.255.255.255", "::ffff:255.255.255.255"},
+      // Leading, trailing and middle zero runs.
+      {"0:0:0:1:2:3:4:5", "::1:2:3:4:5"},
+      {"1:2:3:4:5:0:0:0", "1:2:3:4:5::"},
+      {"2001:db8:0:0:0:0:2:1", "2001:db8::2:1"},
+      // Equal-length runs: the leftmost is compressed.
+      {"1:0:0:2:0:0:3:4", "1::2:0:0:3:4"},
+      {"2001:0:0:1:0:0:0:1", "2001:0:0:1::1"},
+      // A lone zero group is not compressed.
+      {"2001:db8:0:1:1:1:1:1", "2001:db8:0:1:1:1:1:1"},
+      {"1:2:3:4:5:6:7:0", "1:2:3:4:5:6:7:0"},
+      {"0:1:2:3:4:5:6:7", "0:1:2:3:4:5:6:7"},
+      {"ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
+       "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"},
+      {"0abc:00de:000f:1000:0:0:0:0", "abc:de:f:1000::"},
+      // Not v4-mapped: the dotted tail is for ::ffff:0:0/96 only.
+      {"0:0:0:0:1:ffff:0102:0304", "::1:ffff:102:304"},
+  };
+  for (const auto& [text, want] : cases) {
+    const auto a = Ipv6Address::parse(text);
+    ASSERT_TRUE(a.has_value()) << text;
+    EXPECT_EQ(a->to_string(), want) << text;
+    char buf[Ipv6Address::kMaxTextLength];
+    char* end = a->format_to(buf);
+    EXPECT_EQ(std::string(buf, end), want) << text;
+  }
+}
+
+// The formatter this one replaced (one snprintf per group), kept here as
+// the independent reference for the property sweep below.
+std::string snprintf_reference(const Ipv6Address& a) {
+  if (a.group(0) == 0 && a.group(1) == 0 && a.group(2) == 0 &&
+      a.group(3) == 0 && a.group(4) == 0 && a.group(5) == 0xffff) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "::ffff:%u.%u.%u.%u", a.byte(12),
+                  a.byte(13), a.byte(14), a.byte(15));
+    return std::string{buf};
+  }
+  int best_start = -1, best_len = 0;
+  for (int i = 0; i < 8;) {
+    if (a.group(i) != 0) {
+      ++i;
+      continue;
+    }
+    int j = i;
+    while (j < 8 && a.group(j) == 0) ++j;
+    if (j - i > best_len) {
+      best_start = i;
+      best_len = j - i;
+    }
+    i = j;
+  }
+  if (best_len < 2) best_start = -1;
+  std::string out;
+  for (int i = 0; i < 8; ++i) {
+    if (i == best_start) {
+      out += "::";
+      i += best_len - 1;
+      continue;
+    }
+    if (!out.empty() && out.back() != ':') out += ':';
+    char g[8];
+    std::snprintf(g, sizeof g, "%x", a.group(i));
+    out += g;
+  }
+  return out;
+}
+
+// Seeded addresses rich in zero groups and short groups (every run shape
+// and digit count occurs), plus v4-mapped ones: format_to must equal the
+// snprintf reference and parse back to the same address.
+TEST(Ipv6Address, FormatMatchesSnprintfReferenceOn100kAddresses) {
+  Rng rng{5952};
+  char buf[Ipv6Address::kMaxTextLength];
+  for (int i = 0; i < 100'000; ++i) {
+    std::array<std::uint8_t, 16> b{};
+    for (int g = 0; g < 8; ++g) {
+      std::uint16_t v = 0;
+      switch (rng.uniform(4)) {
+        case 0: break;  // a zero group
+        case 1: v = static_cast<std::uint16_t>(rng.uniform(16)); break;
+        case 2: v = static_cast<std::uint16_t>(rng.uniform(0x1000)); break;
+        default: v = static_cast<std::uint16_t>(rng.next()); break;
+      }
+      b[static_cast<std::size_t>(2 * g)] = static_cast<std::uint8_t>(v >> 8);
+      b[static_cast<std::size_t>(2 * g + 1)] = static_cast<std::uint8_t>(v);
+    }
+    if (rng.uniform(16) == 0) {  // v4-mapped
+      for (int k = 0; k < 10; ++k) b[static_cast<std::size_t>(k)] = 0;
+      b[10] = b[11] = 0xff;
+    }
+    const Ipv6Address a{b};
+    const std::string text(buf, a.format_to(buf));
+    ASSERT_EQ(text, snprintf_reference(a)) << i;
+    ASSERT_EQ(a.to_string(), text);
+    const auto reparsed = Ipv6Address::parse(text);
+    ASSERT_TRUE(reparsed.has_value()) << text;
+    ASSERT_EQ(*reparsed, a) << text;
+  }
+}
+
+// value()/from_value() evaluate at compile time (the static_asserts) and
+// give the same big-endian value at run time.
+constexpr std::array<std::uint8_t, 16> kValueBytes = {
+    0x20, 0x01, 0x0d, 0xb8, 0x12, 0x34, 0x56, 0x78,
+    0x9a, 0xbc, 0xde, 0xf0, 0x13, 0x57, 0x24, 0x68};
+constexpr Uint128 kConstValue = Ipv6Address{kValueBytes}.value();
+static_assert(kConstValue == Uint128{0x20010db812345678ULL,
+                                     0x9abcdef013572468ULL});
+static_assert(Ipv6Address::from_value(kConstValue).bytes() == kValueBytes);
+static_assert(Ipv6Address{}.value().is_zero());
+static_assert(Ipv6Address::from_value(Uint128{1}).byte(15) == 1);
+
+TEST(Ipv6Address, RuntimeValueMatchesConstantEvaluation) {
+  // Opaque to the optimiser, so these are computed at run time.
+  volatile std::uint8_t first = kValueBytes[0];
+  std::array<std::uint8_t, 16> b = kValueBytes;
+  b[0] = first;
+  const Ipv6Address a{b};
+  EXPECT_EQ(a.value(), kConstValue);
+  EXPECT_EQ(Ipv6Address::from_value(kConstValue).bytes(), kValueBytes);
+  EXPECT_EQ(a.prefix64(), 0x20010db812345678ULL);
+  EXPECT_EQ(a.iid(), 0x9abcdef013572468ULL);
+}
+
+TEST(Ipv6Address, ValueRoundTripAndOrderMatchBytes) {
+  Rng rng{128};
+  for (int i = 0; i < 20'000; ++i) {
+    const Uint128 v{rng.next(), rng.next()};
+    const Ipv6Address a = Ipv6Address::from_value(v);
+    ASSERT_EQ(a.value(), v);
+    // Bit 127 of the value is the first bit on the wire.
+    ASSERT_EQ(a.byte(0), static_cast<std::uint8_t>(v.hi() >> 56));
+    ASSERT_EQ(a.byte(15), static_cast<std::uint8_t>(v.lo()));
+    // operator<=> is byte-lexicographic order; share a random-length
+    // prefix so ties deep into the address occur too.
+    std::array<std::uint8_t, 16> ob = a.bytes();
+    const auto keep = static_cast<std::size_t>(rng.uniform(17));
+    for (std::size_t k = keep; k < 16; ++k) {
+      ob[k] = static_cast<std::uint8_t>(rng.next());
+    }
+    const Ipv6Address b{ob};
+    const bool less_bytes = std::lexicographical_compare(
+        a.bytes().begin(), a.bytes().end(), ob.begin(), ob.end());
+    const bool greater_bytes = std::lexicographical_compare(
+        ob.begin(), ob.end(), a.bytes().begin(), a.bytes().end());
+    ASSERT_EQ(a < b, less_bytes) << a.to_string() << " " << b.to_string();
+    ASSERT_EQ(a > b, greater_bytes) << a.to_string() << " " << b.to_string();
+    ASSERT_EQ(a == b, !less_bytes && !greater_bytes);
+  }
 }
 
 TEST(Ipv6Address, Classification) {

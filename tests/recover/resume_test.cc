@@ -284,6 +284,51 @@ TEST(Resume, PeriodicCheckpointRegeneratesTailExactly) {
   }
 }
 
+// At 100 pps the scanner's provenance window (two generations of ~700
+// slots at one worker, ~1.2k at two) rotates several times over the
+// 3.8k-slot scan. A periodic snapshot filters records by raw_slot, so a
+// record whose provenance had been dropped would fall out of the snapshot
+// and never come back: interrupt the scan, resume from its last periodic
+// snapshot, and the records — raw_slot and shard included — must equal
+// the uninterrupted run's, with no provenance miss anywhere.
+TEST(Resume, PeriodicCheckpointResumeIsExactWhileProvenanceRotates) {
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EngineConfig base = make_config(threads);
+    base.scan.probes_per_sec = 100;
+    auto golden = run_parallel_scan(base);
+    ASSERT_TRUE(golden.ok) << golden.error;
+    ASSERT_GT(golden.records.size(), 100u);
+    EXPECT_EQ(golden.stats.provenance_misses, 0u);
+
+    std::optional<recover::CheckpointState> snapshot;
+    EngineConfig cut = base;
+    cut.checkpoint_interval_targets = 64;
+    cut.shutdown_at_raw_slot = 2600;
+    cut.checkpoint_sink = [&](recover::CheckpointState& state) {
+      snapshot = state;
+    };
+    auto interrupted = run_parallel_scan(cut);
+    ASSERT_TRUE(interrupted.ok) << interrupted.error;
+    EXPECT_TRUE(interrupted.interrupted);
+    EXPECT_EQ(interrupted.stats.provenance_misses, 0u);
+    ASSERT_TRUE(snapshot.has_value()) << "no periodic snapshot captured";
+    EXPECT_FALSE(snapshot->quiescent);
+    EXPECT_GT(snapshot->records.size(), 0u);
+    for (const auto& c : snapshot->cursors) EXPECT_GT(c.frontier_slot, 1500u);
+
+    auto round =
+        recover::parse_checkpoint(recover::serialize_checkpoint(*snapshot));
+    ASSERT_TRUE(round.state.has_value()) << round.error;
+    EngineConfig resume = base;
+    resume.resume = &*round.state;
+    auto result = run_parallel_scan(resume);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.stats.provenance_misses, 0u);
+    EXPECT_EQ(result.records, golden.records);
+  }
+}
+
 // The cooperative shutdown flag (the signal handler's atomic) stops the
 // scan the same way the deterministic slot hook does: quiescent, with
 // cursors, and the monitor/telemetry tagged as interrupted.

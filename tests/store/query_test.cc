@@ -11,6 +11,7 @@
 #include "store/query.h"
 #include "store/snapshot.h"
 #include "store/writer.h"
+#include "tests/support/reference_lpm.h"
 
 namespace xmap::store {
 namespace {
@@ -61,18 +62,17 @@ std::unique_ptr<Snapshot> make_snapshot(
 }
 
 // The equivalence property: for every probe address, the snapshot's
-// compiled-trie attribution equals a reference PrefixMap answering through
-// its uncompiled linear walk.
+// compiled-trie attribution equals the reference LPM's answer.
 void check_attribution_equivalence(const std::vector<Ipv6Prefix>& prefixes,
                                    const std::vector<Ipv6Address>& probes) {
   auto snap = make_snapshot(prefixes, {});
-  net::PrefixMap<std::uint32_t> reference;
+  test_support::ReferenceLpm<std::uint32_t> reference;
   for (std::size_t i = 0; i < prefixes.size(); ++i) {
     reference.insert(prefixes[i], static_cast<std::uint32_t>(i + 1));
   }
   for (const auto& probe : probes) {
     const GeoEntry* got = snap->attribute(probe);
-    const std::uint32_t* want = reference.lookup_linear(probe);
+    const std::uint32_t* want = reference.lookup(probe);
     if (want == nullptr) {
       EXPECT_EQ(got, nullptr) << probe.to_string();
     } else {

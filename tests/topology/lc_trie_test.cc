@@ -1,7 +1,7 @@
 // Property tests for the compiled LC-trie lookup path in PrefixMap: for any
 // prefix set and any address, lookup() (skip/stride walk over the compiled
-// index) must return exactly what lookup_linear() (the plain one-bit-per-step
-// binary-trie walk) returns.
+// index) must return exactly what the reference LPM (one exact-match probe
+// per prefix length, tests/support/reference_lpm.h) returns.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,6 +9,7 @@
 
 #include "netbase/ipv6.h"
 #include "netbase/random.h"
+#include "tests/support/reference_lpm.h"
 #include "topology/prefix_map.h"
 
 namespace xmap::topo {
@@ -23,16 +24,17 @@ Ipv6Address random_addr(Rng& rng) {
   return Ipv6Address::from_value(Uint128{rng.next(), rng.next()});
 }
 
-// Checks lookup() against lookup_linear() on `probes` random addresses plus
+// Checks lookup() against the reference LPM on `probes` random addresses plus
 // one address inside every inserted prefix (mutated around the prefix
 // boundary so both just-inside and just-outside bit patterns occur).
 void expect_equivalent(const PrefixMap<int>& map,
                        const std::vector<Ipv6Prefix>& prefixes, Rng& rng,
                        int probes) {
+  const test_support::ReferenceLpm<int> reference{map};
   for (int i = 0; i < probes; ++i) {
     const Ipv6Address a = random_addr(rng);
     const int* fast = map.lookup(a);
-    const int* ref = map.lookup_linear(a);
+    const int* ref = reference.lookup(a);
     ASSERT_EQ(fast == nullptr, ref == nullptr) << a.to_string();
     if (ref != nullptr) {
       ASSERT_EQ(*fast, *ref) << a.to_string();
@@ -51,7 +53,7 @@ void expect_equivalent(const PrefixMap<int>& map,
     }
     const Ipv6Address a = Ipv6Address::from_value(v);
     const int* fast = map.lookup(a);
-    const int* ref = map.lookup_linear(a);
+    const int* ref = reference.lookup(a);
     ASSERT_EQ(fast == nullptr, ref == nullptr) << a.to_string();
     if (ref != nullptr) {
       ASSERT_EQ(*fast, *ref) << a.to_string();

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "obs/config.h"
+#include "obs/metrics.h"
 #include "topology/builder.h"
 #include "topology/paper_profiles.h"
 #include "xmap/results.h"
@@ -636,6 +639,119 @@ TEST(ScannerIntegration, SecondScanOnOneNetworkSendsFromItsStart) {
   EXPECT_LE(second.stats.first_send, second.stats.last_send);
   EXPECT_GE(second.first_when, second.start);
   EXPECT_EQ(second.records, first.records);
+}
+
+// Probe provenance through the slotted callback: every record's probe
+// address with the raw slot it was reported under, plus the scanner's miss
+// count and the RTT histogram's sample count (metrics on). One ISP at `window_bits`, `core_latency` per core link.
+// `exact_order` installs a (no-op) checkpoint hook, which pins the network
+// to exact (when, seq) processing; otherwise trains run free and deliver
+// responses ahead of their stamps.
+struct SlotRun {
+  std::map<Ipv6Address, std::uint64_t> slot_of;
+  std::uint64_t records = 0;
+  std::uint64_t unslotted = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t validated = 0;
+  std::uint64_t rtt_samples = 0;
+};
+
+SlotRun slotted_scan(int window_bits, double pps, bool exact_order,
+                     sim::SimTime core_latency = 0) {
+  sim::Network net{101};
+  topo::BuildConfig bcfg;
+  bcfg.window_bits = window_bits;
+  bcfg.seed = 42;
+  if (core_latency != 0) bcfg.core_link.latency = core_latency;
+  auto internet = topo::build_internet(net, topo::paper::isp_specs(),
+                                       topo::paper::vendor_catalog(), bcfg);
+  IcmpEchoProbe probe{64};
+  ScanConfig cfg;
+  const auto& isp = internet.isps[5];
+  cfg.targets.push_back(
+      TargetSpec{isp.scan_base, isp.window_lo, isp.window_hi});
+  cfg.source = kScannerAddr;
+  cfg.seed = 7;
+  cfg.probes_per_sec = pps;
+  auto* scanner = net.make_node<SimChannelScanner>(cfg, probe);
+  scanner->set_iface(
+      topo::attach_vantage(net, internet, scanner, kVantagePrefix));
+  obs::ObsConfig obs_config;
+  obs_config.metrics = true;
+  obs::MetricsShard metrics;
+  scanner->set_obs(obs_config, nullptr, &metrics, nullptr);
+  SlotRun run;
+  scanner->on_response_slotted([&run](const ProbeResponse& r, sim::SimTime,
+                                      std::uint64_t raw_slot) {
+    ++run.records;
+    if (raw_slot == kNoBudgetCut) {
+      ++run.unslotted;
+      return;
+    }
+    const auto [it, inserted] = run.slot_of.emplace(r.probe_dst, raw_slot);
+    EXPECT_TRUE(inserted || it->second == raw_slot)
+        << r.probe_dst.to_string();
+  });
+  if (exact_order) scanner->set_checkpoint_hook(64, [](const ScanCursor&) {});
+  scanner->start();
+  net.run();
+  run.misses = scanner->stats().provenance_misses;
+  run.validated = scanner->stats().validated;
+  for (const auto& [key, series] : metrics.series()) {
+    if (key.first == "icmp_rtt_sim_ns") {
+      run.rtt_samples = series.histogram->count();
+    }
+  }
+  return run;
+}
+
+TEST(ScannerIntegration, ProvenanceIsExactWhetherTheWindowRotatesOrNot) {
+  // raw_slot is a pure function of the permutation, not of the rate. At
+  // 1 Mpps the two-second settle window spans the whole scan (one table);
+  // at 200 pps a generation is ~900 slots of the 16k-slot scan, so the
+  // window rotates over a dozen times. Every run must report the same
+  // slot for every probe, with no miss, in free and in exact order.
+  const SlotRun whole = slotted_scan(14, 1e6, /*exact_order=*/false);
+  ASSERT_GT(whole.slot_of.size(), 1000u);
+  EXPECT_EQ(whole.misses, 0u);
+  EXPECT_EQ(whole.unslotted, 0u);
+  EXPECT_EQ(whole.rtt_samples, whole.validated);
+  for (const bool exact : {false, true}) {
+    SCOPED_TRACE(exact ? "exact order" : "free running");
+    const SlotRun rotating = slotted_scan(14, 200, exact);
+    EXPECT_EQ(rotating.misses, 0u);
+    EXPECT_EQ(rotating.unslotted, 0u);
+    EXPECT_EQ(rotating.rtt_samples, rotating.validated);
+    EXPECT_EQ(rotating.records, whole.records);
+    EXPECT_EQ(rotating.slot_of, whole.slot_of);
+  }
+}
+
+TEST(ScannerIntegration, ResponsePastTheProvenanceWindowIsACountedMiss) {
+  // 1.5 s per core link puts every round trip at 3 s, past the two-second
+  // response horizon. At 2000 pps a generation is ~4.5k slots (2.26 s),
+  // and in exact order a generation is dropped about 2.1 s after its last
+  // send, before the late answers to its tail arrive: those are misses,
+  // counted and reported with kNoBudgetCut instead of a wrong slot. At
+  // 1 Mpps the window covers the whole scan and nothing is dropped.
+  const sim::SimTime slow = 1500 * sim::kMillisecond;
+  const SlotRun late = slotted_scan(14, 2000, /*exact_order=*/true, slow);
+  ASSERT_GT(late.records, 0u);
+  EXPECT_GT(late.misses, 0u);
+  EXPECT_EQ(late.unslotted, late.misses);
+  // A miss has no send time either: it is left out of the RTT histogram.
+  EXPECT_EQ(late.rtt_samples, late.validated - late.misses);
+  const SlotRun covered = slotted_scan(14, 1e6, /*exact_order=*/true, slow);
+  EXPECT_EQ(covered.records, late.records);
+  EXPECT_EQ(covered.misses, 0u);
+  EXPECT_EQ(covered.unslotted, 0u);
+  EXPECT_EQ(covered.rtt_samples, covered.validated);
+  // Where provenance was found it is still the exact slot.
+  for (const auto& [dst, slot] : late.slot_of) {
+    const auto it = covered.slot_of.find(dst);
+    ASSERT_NE(it, covered.slot_of.end()) << dst.to_string();
+    EXPECT_EQ(it->second, slot) << dst.to_string();
+  }
 }
 
 TEST(ScannerIntegration, AdaptiveRateBacksOffWhenHitRateCollapses) {

@@ -16,6 +16,7 @@ ScanStats sample(std::uint64_t base, sim::SimTime first, sim::SimTime last) {
   s.received = base + 4;
   s.validated = base + 5;
   s.discarded = base + 6;
+  s.provenance_misses = base + 7;
   s.first_send = first;
   s.last_send = last;
   return s;
@@ -31,6 +32,7 @@ TEST(ScanStats, MergeSumsEveryCounter) {
   EXPECT_EQ(a.received, 104u + 1004u);
   EXPECT_EQ(a.validated, 105u + 1005u);
   EXPECT_EQ(a.discarded, 106u + 1006u);
+  EXPECT_EQ(a.provenance_misses, 107u + 1007u);
 }
 
 TEST(ScanStats, MergeWidensTheSendWindow) {

@@ -73,6 +73,12 @@ void print_stats_footer(const scan::ScanStats& stats, int workers,
     std::fprintf(stderr, ", %llu rate adjustments",
                  static_cast<unsigned long long>(stats.rate_adjustments));
   }
+  if (stats.provenance_misses > 0) {
+    std::fprintf(stderr,
+                 ", %llu responses past the provenance window (no raw slot, "
+                 "no RTT sample)",
+                 static_cast<unsigned long long>(stats.provenance_misses));
+  }
   std::fprintf(stderr, ", %d workers, wall %.2fs\n", workers, wall_seconds);
 }
 
